@@ -15,7 +15,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
@@ -23,7 +22,7 @@ import numpy as np
 from . import dataset as ds
 from .controllers import load_controller, save_controller
 from .exosim import ExoLimits, ExoSim
-from .rollout import EvalRow, EvalTable, RolloutConfig, evaluate_suite, rollout, trajectory_label
+from .rollout import ROW_KEYS, EvalRow, EvalTable, RolloutConfig, evaluate_suite
 from .training import TrainConfig, fit
 
 TASK_CHOICES = [t.value for t in ds.Task] + ["all"]
@@ -139,45 +138,29 @@ def _write_rows_csv(path, rows):
             writer.writerow([r.controller, r.task, r.trajectory, repr(r.mse), r.steps, int(r.faulted)])
 
 
-def cmd_rollout(args):
-    controller = load_controller(args.controller)
-    trajs = _load_dir(args.data)
-    config = RolloutConfig(
-        noise_sigma_deg=args.noise, seed=args.seed, duration_cap_s=args.duration_cap
-    )
-    rows = []
-    steps_rows = []
-    for index, traj in enumerate(trajs):
-        result = rollout(controller, traj, config)
-        label = trajectory_label(traj, index)
-        rows.append(
-            EvalRow(controller.name, result.task, label, result.mse, len(result.step_errors), result.faulted)
-        )
-        if args.steps_csv:
-            for step, err in enumerate(result.step_errors):
-                steps_rows.append((controller.name, result.task, label, step, err))
-    table = EvalTable(rows=rows, noise_sigma_deg=config.noise_sigma_deg, seed=config.seed)
-    with open(args.out, "w", encoding="utf-8") as f:
+def _write_table(path, table):
+    with open(path, "w", encoding="utf-8") as f:
         json.dump(table.to_json(), f, indent=2)
         f.write("\n")
+
+
+def cmd_rollout(args):
+    """``evaluate`` for one controller, plus the optional per-step CSV."""
+    controller = load_controller(args.controller)
+    trajs = _load_dir(args.data)
+    config = RolloutConfig(noise_sigma_deg=args.noise, seed=args.seed, duration_cap_s=args.duration_cap)
+    table = evaluate_suite({controller.name: controller}, trajs, config)
+    _write_table(args.out, table)
     if args.steps_csv:
         with open(args.steps_csv, "w", newline="", encoding="utf-8") as f:
             writer = csv.writer(f)
             writer.writerow(["controller", "task", "trajectory", "step", "squared_error"])
-            for row in steps_rows:
-                writer.writerow([*row[:4], repr(float(row[4]))])
+            for row in table.rows:
+                for step, err in enumerate(row.step_errors):
+                    writer.writerow([row.controller, row.task, row.trajectory, step, repr(float(err))])
     overall = table.aggregate()[controller.name]["overall"]["mse"]
     log(f"rollout: {controller.name} over {len(trajs)} trajectories, overall mse={overall:.4f}")
     return 0
-
-
-def _rollout_job(job):
-    name, controller, traj, config, index = job
-    result = rollout(controller, traj, config)
-    return EvalRow(
-        name, result.task, trajectory_label(traj, index), result.mse,
-        len(result.step_errors), result.faulted,
-    )
 
 
 def cmd_evaluate(args):
@@ -189,20 +172,8 @@ def cmd_evaluate(args):
         controllers[controller.name] = controller
     trajs = _load_dir(args.data)
     config = RolloutConfig(noise_sigma_deg=args.noise, seed=args.seed)
-    if args.jobs > 1:
-        jobs = [
-            (name, controller, traj, config, index)
-            for name, controller in controllers.items()
-            for index, traj in enumerate(trajs)
-        ]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_rollout_job, jobs))
-        table = EvalTable(rows=rows, noise_sigma_deg=config.noise_sigma_deg, seed=config.seed)
-    else:
-        table = evaluate_suite(controllers, trajs, config)
-    with open(args.out, "w", encoding="utf-8") as f:
-        json.dump(table.to_json(), f, indent=2)
-        f.write("\n")
+    table = evaluate_suite(controllers, trajs, config, jobs=args.jobs)
+    _write_table(args.out, table)
     if args.csv:
         _write_rows_csv(args.csv, table.rows)
     for name, cells in table.aggregate().items():
@@ -262,9 +233,7 @@ def cmd_report(args):
             with open(path, encoding="utf-8") as f:
                 payload = json.load(f)
             for r in payload["trajectories"]:
-                rows.append(
-                    EvalRow(r["controller"], r["task"], r["trajectory"], r["mse"], r["steps"], r.get("faulted", False))
-                )
+                rows.append(EvalRow(*(r[key] for key in ROW_KEYS[:-1]), r.get("faulted", False)))
         except (OSError, ValueError, KeyError) as exc:
             bad.append((path, str(exc)))
     for path, reason in bad:

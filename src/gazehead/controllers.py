@@ -7,7 +7,8 @@ command in radians. Four families:
 - quadrant: axis-aligned constant-speed motion outside a circular deadzone.
 - vector: a per-axis sigmoid-gated velocity law with a soft deadzone.
 - mlp: dense network emitting per-tick angle deltas.
-- lstm: recurrent network, stateful across a rollout, run at half rate.
+- lstm: recurrent network, stateful across a rollout, stepped at its
+  trained rate.
 
 The angle-level laws (quadrant_step, vector_step, control_law) work in
 degrees and degrees/second; the Controller classes convert to radians.
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import dir_to_pitch_yaw, normalize
-from .nn import DenseNet, LstmNet, LstmState, dense_forward, load_checkpoint, lstm_step, save_checkpoint
+from .geometry import dir_to_pitch_yaw, dirs_to_pitch_yaw, normalize
+from .nn import DenseNet, LstmNet, LstmState, dense_forward, load_checkpoint, save_checkpoint
 
 _EXP_MAX = 700.0  # exp() overflow guard; beyond this the law is exactly 0
 
@@ -113,6 +114,20 @@ def combined_gaze_angles(left_dir, right_dir):
     return math.degrees(pitch), math.degrees(yaw)
 
 
+def combined_inputs(x):
+    """(N, 6) inputs from (N, 9) ones: the normalized mean of the left and
+    right gaze, then the head direction."""
+    combined = x[:, 0:3] + x[:, 3:6]
+    combined /= np.linalg.norm(combined, axis=1, keepdims=True)
+    return np.concatenate([combined, x[:, 6:9]], axis=1)
+
+
+def gaze_angles(x):
+    """(N, 2) combined-gaze (pitch, yaw) in degrees of (N, 9) inputs."""
+    pitch, yaw = dirs_to_pitch_yaw(combined_inputs(x)[:, 0:3])
+    return np.degrees(np.column_stack([pitch, yaw]))
+
+
 class Controller:
     """Stepping interface shared by all families.
 
@@ -120,6 +135,10 @@ class Controller:
     head direction, and the tick duration; it returns (dpitch, dyaw) in
     radians. ``faulted`` latches when a non-finite command was replaced by
     (0, 0).
+
+    predict() is the teacher-forced counterpart, the one place a family's
+    maths meets a whole trajectory: (T-1, 9) ground-truth inputs from
+    ``training.net_inputs`` and tick length dt -> (T-1, 2) radians.
     """
 
     family = "base"
@@ -134,6 +153,9 @@ class Controller:
 
     def step(self, left_dir, right_dir, head_dir, dt):
         raise NotImplementedError
+
+    def predict(self, x, dt):
+        raise TypeError(f"{type(self).__name__} has no teacher-forced prediction")
 
     def _guard(self, dpitch, dyaw):
         if not (math.isfinite(dpitch) and math.isfinite(dyaw)):
@@ -154,6 +176,10 @@ class QuadrantController(Controller):
         dp, dy = quadrant_step(self.params, gp, gy, dt)
         return self._guard(math.radians(dp), math.radians(dy))
 
+    def predict(self, x, dt):
+        out = np.array([quadrant_step(self.params, p, y, dt) for p, y in gaze_angles(x)])
+        return np.radians(out)
+
 
 class VectorController(Controller):
     family = "vector"
@@ -166,6 +192,15 @@ class VectorController(Controller):
         gp, gy = combined_gaze_angles(left_dir, right_dir)
         dp, dy = vector_step(self.params, gp, gy, dt)
         return self._guard(math.radians(dp), math.radians(dy))
+
+    def predict(self, x, dt):
+        angles = gaze_angles(x)
+        law = symmetric_control_law if self.params.symmetric else control_law
+        pred = np.empty_like(angles)
+        for i, (p, y) in enumerate(angles):
+            pred[i, 0] = law(self.params.pitch, p)
+            pred[i, 1] = law(self.params.yaw, y)
+        return np.radians(pred * dt)
 
 
 class MlpController(Controller):
@@ -187,12 +222,15 @@ class MlpController(Controller):
         out = dense_forward(self.net, x) * (dt * self.train_rate_hz)
         return self._guard(float(out[0]), float(out[1]))
 
+    def predict(self, x, dt):
+        return self.net.forward_batch(x) * (dt * self.train_rate_hz)
+
 
 class LstmController(Controller):
     """Recurrent controller; holds hidden/cell state across a rollout.
 
-    Native tick rate is the downsampled 45 Hz; callers run it every second
-    sample of a 90 Hz stream.
+    It is stepped at ``train_rate_hz`` (45 Hz by default, half the 90 Hz
+    data rate): a rollout calls it every rate_hz / train_rate_hz samples.
     """
 
     family = "lstm"
@@ -212,12 +250,24 @@ class LstmController(Controller):
         x = np.concatenate([left_dir, right_dir, head_dir])
         if self.net.input_size == 6:
             x = np.concatenate([normalize(left_dir + right_dir), head_dir])
-        out, state = lstm_step(self.net, self.state, x)
+        out, state = self.net.step(self.state, x)
         out = out * (dt * self.train_rate_hz)
         dp, dy = self._guard(float(out[0]), float(out[1]))
         if not self.faulted:
             self.state = state
         return dp, dy
+
+    def predict(self, x, dt):
+        if self.net.input_size == 6:
+            x = combined_inputs(x)
+        self.reset()
+        scale = dt * self.train_rate_hz
+        pred = np.empty((x.shape[0], 2))
+        state = self.state
+        for i in range(x.shape[0]):
+            y, state = self.net.step(state, x[i])
+            pred[i] = y * scale
+        return pred
 
 
 def _axis_to_dict(p: VectorAxisParams):

@@ -100,6 +100,15 @@ class TrajectoryFormatError(ValueError):
         self.line_number = line_number
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-finite number {token}")
+
+
+# json.loads with keyword arguments builds a new decoder per call; one
+# shared decoder keeps the per-row cost of the default one
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def _vec_list(v):
     return [float(v[0]), float(v[1]), float(v[2])]
 
@@ -161,7 +170,8 @@ def load_trajectories(path):
     """Parse a JSONL trajectory file; returns only non-empty trajectories.
 
     Raises TrajectoryFormatError with the offending line number for
-    malformed rows or non-monotonic timestamps.
+    malformed rows, NaN or Infinity tokens, a rate_hz that is not positive
+    and finite, or non-monotonic timestamps.
     """
     trajectories = []
     current = None
@@ -171,9 +181,11 @@ def load_trajectories(path):
             if not line:
                 continue
             try:
-                row = json.loads(line)
+                row = _DECODER.decode(line)
             except json.JSONDecodeError as exc:
                 raise TrajectoryFormatError(f"invalid JSON ({exc.msg})", line_number) from exc
+            except ValueError as exc:  # from _reject_constant
+                raise TrajectoryFormatError(str(exc), line_number) from exc
             if not isinstance(row, dict):
                 raise TrajectoryFormatError("expected a JSON object", line_number)
             if "participant" in row:
@@ -187,6 +199,10 @@ def load_trajectories(path):
                     )
                 except (KeyError, ValueError) as exc:
                     raise TrajectoryFormatError(f"malformed header ({exc})", line_number) from exc
+                if not (math.isfinite(current.rate_hz) and current.rate_hz > 0):
+                    raise TrajectoryFormatError(
+                        f"rate_hz must be positive and finite, got {current.rate_hz!r}", line_number
+                    )
                 continue
             if current is None:
                 raise TrajectoryFormatError("sample row before any header", line_number)

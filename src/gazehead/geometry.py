@@ -115,6 +115,13 @@ def dir_to_pitch_yaw(d: Vec3) -> tuple[float, float]:
     return pitch, math.atan2(float(d[0]), float(d[2]))
 
 
+def dirs_to_pitch_yaw(dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """dir_to_pitch_yaw over an (N, 3) array, without the pole convention."""
+    pitch = np.arcsin(np.clip(dirs[:, 1], -1.0, 1.0))
+    yaw = np.arctan2(dirs[:, 0], dirs[:, 2])
+    return pitch, yaw
+
+
 def pitch_yaw_to_dir(pitch: float, yaw: float) -> Vec3:
     """Unit direction for (pitch, yaw); inverse of dir_to_pitch_yaw."""
     cp = math.cos(pitch)

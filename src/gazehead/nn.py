@@ -235,11 +235,6 @@ class LstmNet:
         return loss, {"w": dw, "b": db, "w_out": dw_out, "b_out": db_out}
 
 
-def lstm_step(net: LstmNet, state: LstmState, x):
-    """One LSTM cell step; returns (output, new state)."""
-    return net.step(state, x)
-
-
 @dataclass
 class AdamState:
     """Per-parameter first/second moment accumulators and step counter."""

@@ -14,6 +14,8 @@ the virtual and recorded head direction vectors, so per-step error lies in
 from __future__ import annotations
 
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +29,6 @@ from .geometry import HeadOrientation, Ray, focal_point, rotate_head, vec3
 class RolloutConfig:
     noise_sigma_deg: float = 0.5  # angular std of per-eye gaze perturbation
     seed: int = 0
-    stateful_every: int = 2  # tick divisor for half-rate (LSTM) controllers
     duration_cap_s: float | None = None
     eye_offset: float = 0.03  # m, half interpupillary distance
 
@@ -39,7 +40,6 @@ class RolloutConfig:
 @dataclass
 class RolloutResult:
     imputed: np.ndarray  # (T, 3) virtual head directions
-    truth: np.ndarray  # (T, 3) recorded head directions
     step_errors: np.ndarray  # (T,)
     mse: float
     task: str
@@ -85,13 +85,25 @@ def _rollout_rng(config: RolloutConfig, traj: Trajectory):
     )
 
 
+def _tick_divisor(controller: Controller, traj: Trajectory) -> int:
+    """Samples per step: 1, or for a stateful controller the data rate over
+    its trained rate, which must be a whole number."""
+    if not controller.stateful:
+        return 1
+    ratio = traj.rate_hz / controller.train_rate_hz
+    if round(ratio) < 1 or not math.isclose(ratio, round(ratio)):
+        raise ValueError(f"{controller.name} trained at {controller.train_rate_hz:g} Hz "
+                         f"cannot step a whole number of {traj.rate_hz:g} Hz samples")
+    return round(ratio)
+
+
 def rollout(controller: Controller, traj: Trajectory, config: RolloutConfig) -> RolloutResult:
     """Closed-loop simulation of one trial; deterministic for a given seed."""
+    every = _tick_divisor(controller, traj)
     focal = precompute_focal_points(traj)
     rng = _rollout_rng(config, traj)
     sigma = math.radians(config.noise_sigma_deg)
     dt = 1.0 / traj.rate_hz
-    every = config.stateful_every if controller.stateful else 1
     n = len(traj.samples)
     if config.duration_cap_s is not None:
         n = min(n, int(config.duration_cap_s * traj.rate_hz))
@@ -101,13 +113,11 @@ def rollout(controller: Controller, traj: Trajectory, config: RolloutConfig) -> 
     left_local = vec3(-config.eye_offset, 0.0, 0.0)
     right_local = vec3(config.eye_offset, 0.0, 0.0)
     imputed = np.empty((n, 3))
-    truth = np.empty((n, 3))
     errors = np.empty(n)
     faulted = False
     for t in range(n):
         forward = head.forward
         imputed[t] = forward
-        truth[t] = traj.samples[t].head_dir
         diff = forward - traj.samples[t].head_dir
         errors[t] = float(diff @ diff)
         if t == n - 1:
@@ -131,7 +141,6 @@ def rollout(controller: Controller, traj: Trajectory, config: RolloutConfig) -> 
         head = rotate_head(head, dpitch, dyaw)
     return RolloutResult(
         imputed=imputed,
-        truth=truth,
         step_errors=errors,
         mse=float(np.mean(errors)),
         task=traj.task.value,
@@ -147,6 +156,11 @@ class EvalRow:
     mse: float
     steps: int
     faulted: bool
+    # per-step squared errors of a fresh rollout, kept out of the JSON
+    step_errors: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+
+ROW_KEYS = ("controller", "task", "trajectory", "mse", "steps", "faulted")  # JSON row fields
 
 
 @dataclass
@@ -177,45 +191,37 @@ class EvalTable:
             "noise_sigma_deg": self.noise_sigma_deg,
             "seed": self.seed,
             "aggregate": self.aggregate(),
-            "trajectories": [
-                {
-                    "controller": r.controller,
-                    "task": r.task,
-                    "trajectory": r.trajectory,
-                    "mse": r.mse,
-                    "steps": r.steps,
-                    "faulted": r.faulted,
-                }
-                for r in self.rows
-            ],
+            "trajectories": [{key: getattr(r, key) for key in ROW_KEYS} for r in self.rows],
         }
 
 
-def trajectory_label(traj: Trajectory, index: int) -> str:
-    return f"p{traj.participant_id:03d}-{traj.task.value}-{index:02d}"
+def _evaluate_row(job) -> EvalRow:
+    name, controller, traj, config, index = job
+    result = rollout(controller, traj, config)
+    label = f"p{traj.participant_id:03d}-{traj.task.value}-{index:02d}"
+    return EvalRow(name, result.task, label, result.mse, len(result.step_errors),
+                   result.faulted, result.step_errors)
 
 
-def evaluate_suite(controllers, trajs, config: RolloutConfig) -> EvalTable:
-    """Roll every controller over every trajectory.
+def evaluate_suite(controllers, trajs, config: RolloutConfig, jobs=1) -> EvalTable:
+    """Roll every controller over every trajectory, controller-major.
 
     ``controllers`` maps name -> Controller. Controller state is reset per
     rollout; the noise stream depends only on (seed, trajectory), not on
-    the controller order.
+    the controller order, so ``jobs`` worker processes give the same rows
+    as one.
     """
     if not controllers or not trajs:
         raise ValueError("need at least one controller and one trajectory")
-    table = EvalTable(noise_sigma_deg=config.noise_sigma_deg, seed=config.seed)
-    for name, controller in controllers.items():
-        for index, traj in enumerate(trajs):
-            result = rollout(controller, traj, config)
-            table.rows.append(
-                EvalRow(
-                    controller=name,
-                    task=result.task,
-                    trajectory=trajectory_label(traj, index),
-                    mse=result.mse,
-                    steps=len(result.step_errors),
-                    faulted=result.faulted,
-                )
-            )
-    return table
+    work = [
+        (name, controller, traj, config, index)
+        for name, controller in controllers.items()
+        for index, traj in enumerate(trajs)
+    ]
+    if jobs > 1:
+        # spawned, not forked: numpy's BLAS threads may already be running
+        with ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("spawn")) as pool:
+            rows = list(pool.map(_evaluate_row, work))
+    else:
+        rows = [_evaluate_row(job) for job in work]
+    return EvalTable(rows=rows, noise_sigma_deg=config.noise_sigma_deg, seed=config.seed)

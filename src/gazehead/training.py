@@ -23,26 +23,23 @@ from .controllers import (
     VectorAxisParams,
     VectorController,
     VectorParams,
-    control_law,
-    quadrant_step,
-    symmetric_control_law,
+    combined_inputs,
+    gaze_angles,
 )
 from .dataset import Trajectory, downsample
+from .geometry import dirs_to_pitch_yaw
 from .nn import AdamState, DenseNet, LstmNet, adam_step
 
 
-def _angles_of(dirs):
-    """Vectorized dir_to_pitch_yaw over an (N, 3) array, in radians."""
-    pitch = np.arcsin(np.clip(dirs[:, 1], -1.0, 1.0))
-    yaw = np.arctan2(dirs[:, 0], dirs[:, 2])
-    return pitch, yaw
-
-
 def head_deltas(traj: Trajectory):
-    """(T-1, 2) per-step (dpitch, dyaw) in radians from head directions."""
+    """(T-1, 2) per-step (dpitch, dyaw) in radians from head directions.
+
+    Yaw is unwrapped first, so a head crossing +/-180 degrees moves by its
+    small true step rather than by about 360 degrees.
+    """
     dirs = np.array([s.head_dir for s in traj.samples])
-    pitch, yaw = _angles_of(dirs)
-    return np.column_stack([np.diff(pitch), np.diff(yaw)])
+    pitch, yaw = dirs_to_pitch_yaw(dirs)
+    return np.column_stack([np.diff(pitch), np.diff(np.unwrap(yaw))])
 
 
 def _to_head_frame(dirs, sp, cp, sy, cy):
@@ -63,8 +60,7 @@ def net_inputs(traj: Trajectory):
     head = np.array([s.head_dir for s in traj.samples[:-1]])
     left = np.array([s.left_dir for s in traj.samples[:-1]])
     right = np.array([s.right_dir for s in traj.samples[:-1]])
-    pitch = np.arcsin(np.clip(head[:, 1], -1.0, 1.0))
-    yaw = np.arctan2(head[:, 0], head[:, 2])
+    pitch, yaw = dirs_to_pitch_yaw(head)
     sp, cp = np.sin(pitch), np.cos(pitch)
     sy, cy = np.sin(yaw), np.cos(yaw)
     return np.concatenate(
@@ -73,20 +69,9 @@ def net_inputs(traj: Trajectory):
     )
 
 
-def _combined_inputs(x9):
-    """Collapse a 9-vector input batch to (combined gaze, head) 6-vectors."""
-    combined = x9[:, 0:3] + x9[:, 3:6]
-    combined /= np.linalg.norm(combined, axis=1, keepdims=True)
-    return np.concatenate([combined, x9[:, 6:9]], axis=1)
-
-
 def gaze_angle_inputs(traj: Trajectory):
     """(T-1, 2) head-relative combined-gaze (pitch, yaw) in degrees."""
-    x = net_inputs(traj)
-    combined = x[:, 0:3] + x[:, 3:6]
-    combined /= np.linalg.norm(combined, axis=1, keepdims=True)
-    pitch, yaw = _angles_of(combined)
-    return np.degrees(np.column_stack([pitch, yaw]))
+    return gaze_angles(net_inputs(traj))
 
 
 class ZeroController(Controller):
@@ -97,6 +82,9 @@ class ZeroController(Controller):
     def step(self, left_dir, right_dir, head_dir, dt):
         return 0.0, 0.0
 
+    def predict(self, x, dt):
+        return np.zeros((x.shape[0], 2))
+
 
 def predicted_deltas(controller: Controller, traj: Trajectory):
     """(T-1, 2) teacher-forced per-step commands in radians.
@@ -104,39 +92,7 @@ def predicted_deltas(controller: Controller, traj: Trajectory):
     Inputs come solely from the trajectory (precomputed before stepping),
     so a prediction can never leak into the next input.
     """
-    dt = 1.0 / traj.rate_hz
-    if isinstance(controller, ZeroController):
-        return np.zeros((len(traj.samples) - 1, 2))
-    if isinstance(controller, QuadrantController):
-        angles = gaze_angle_inputs(traj)
-        out = np.array(
-            [quadrant_step(controller.params, p, y, dt) for p, y in angles]
-        )
-        return np.radians(out)
-    if isinstance(controller, VectorController):
-        angles = gaze_angle_inputs(traj)
-        law = symmetric_control_law if controller.params.symmetric else control_law
-        pred = np.empty_like(angles)
-        for i, (p, y) in enumerate(angles):
-            pred[i, 0] = law(controller.params.pitch, p)
-            pred[i, 1] = law(controller.params.yaw, y)
-        return np.radians(pred * dt)
-    if isinstance(controller, MlpController):
-        x = net_inputs(traj)
-        return controller.net.forward_batch(x) * (dt * controller.train_rate_hz)
-    if isinstance(controller, LstmController):
-        x = net_inputs(traj)
-        if controller.net.input_size == 6:
-            x = _combined_inputs(x)
-        controller.reset()
-        scale = dt * controller.train_rate_hz
-        pred = np.empty((x.shape[0], 2))
-        state = controller.state
-        for i in range(x.shape[0]):
-            y, state = controller.net.step(state, x[i])
-            pred[i] = y * scale
-        return pred
-    raise TypeError(f"cannot evaluate controller {type(controller).__name__}")
+    return controller.predict(net_inputs(traj), 1.0 / traj.rate_hz)
 
 
 def teacher_forced_loss(controller: Controller, traj: Trajectory) -> float:
@@ -157,6 +113,14 @@ def dataset_loss(controller: Controller, trajs) -> float:
         total += float(np.sum(resid**2))
         steps += resid.size
     return total / steps
+
+
+def _common_rate(trajs) -> float:
+    """The one sample rate of a training set: a fit learns per-tick deltas."""
+    rates = sorted({traj.rate_hz for traj in trajs})
+    if len(rates) > 1:
+        raise ValueError(f"training set mixes sample rates ({', '.join(f'{r:g}' for r in rates)} Hz)")
+    return rates[0]
 
 
 @dataclass
@@ -293,7 +257,7 @@ def fit_vector_params(trajs, iterations=3000, learning_rate=0.05) -> VectorParam
     """Fit independent pitch/yaw quadruples on pooled trajectory data."""
     xs = []
     ds = []
-    dt = 1.0 / trajs[0].rate_hz
+    dt = 1.0 / _common_rate(trajs)
     for traj in trajs:
         xs.append(gaze_angle_inputs(traj))
         ds.append(head_deltas(traj))
@@ -307,11 +271,14 @@ def fit_vector_params(trajs, iterations=3000, learning_rate=0.05) -> VectorParam
 def fit(config: TrainConfig, train_trajs, test_trajs=()):
     """Train one controller; returns (controller, TrainReport).
 
-    Deterministic for a given config seed. LSTM training consumes the
-    trajectories downsampled by config.lstm_downsample.
+    Deterministic for a given config seed. The training set must have one
+    sample rate. LSTM training consumes the trajectories downsampled by
+    config.lstm_downsample; the controller's train_rate_hz records that
+    slower rate, and a rollout steps it once per that many samples.
     """
     if not train_trajs:
         raise ValueError("empty training set")
+    rate = _common_rate(train_trajs)
     t0 = time.perf_counter()
     name = config.resolved_name()
     report = TrainReport(config=asdict(config))
@@ -319,52 +286,40 @@ def fit(config: TrainConfig, train_trajs, test_trajs=()):
     if config.family == "quadrant":
         # nothing to optimize; the report still carries its teacher-forced loss
         controller = QuadrantController(name=name)
-        report.train_mse = [dataset_loss(controller, train_trajs)]
-        report.trajectory_lengths = [len(t) for t in train_trajs]
     elif config.family == "vector":
         params = fit_vector_params(
             train_trajs, config.vector_iterations, config.vector_learning_rate
         )
         controller = VectorController(params, name=name)
-        report.train_mse = [dataset_loss(controller, train_trajs)]
-        report.trajectory_lengths = [len(t) for t in train_trajs]
     elif config.family == "mlp":
         # network output is the per-tick delta at the data rate, so the
         # targets are the raw per-step deltas
-        def prep(traj):
-            return net_inputs(traj), head_deltas(traj)
-
-        net, losses, lengths = _fit_net(
+        net, report.train_mse, report.trajectory_lengths = _fit_net(
             config,
             train_trajs,
             lambda: DenseNet([9, *config.hidden, 2], seed=config.seed),
-            prep,
+            lambda traj: (net_inputs(traj), head_deltas(traj)),
         )
-        controller = MlpController(net, train_rate_hz=train_trajs[0].rate_hz, name=name)
-        report.train_mse = losses
-        report.trajectory_lengths = lengths
+        controller = MlpController(net, train_rate_hz=rate, name=name)
     elif config.family == "lstm":
         slow = [downsample(t, config.lstm_downsample) for t in train_trajs]
-        rate = slow[0].rate_hz
 
         def prep(traj):
             x = net_inputs(traj)
-            if config.lstm_input == 6:
-                x = _combined_inputs(x)
-            return x, head_deltas(traj)
+            return (combined_inputs(x) if config.lstm_input == 6 else x), head_deltas(traj)
 
-        hidden = config.hidden[0]
-        net, losses, lengths = _fit_net(
+        net, report.train_mse, report.trajectory_lengths = _fit_net(
             config,
             slow,
-            lambda: LstmNet(config.lstm_input, hidden, seed=config.seed),
+            lambda: LstmNet(config.lstm_input, config.hidden[0], seed=config.seed),
             prep,
         )
-        controller = LstmController(net, train_rate_hz=rate, name=name)
-        report.train_mse = losses
-        report.trajectory_lengths = lengths
+        controller = LstmController(net, train_rate_hz=slow[0].rate_hz, name=name)
     else:
         raise ValueError(f"unknown family {config.family!r}")
+    if config.family in ("quadrant", "vector"):
+        report.train_mse = [dataset_loss(controller, train_trajs)]
+        report.trajectory_lengths = [len(t) for t in train_trajs]
 
     report.epochs_run = len(report.train_mse)
     if not all(np.isfinite(report.train_mse)):

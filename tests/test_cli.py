@@ -147,6 +147,27 @@ def test_evaluate_jobs_matches_serial(pipeline, tmp_path):
         assert parallel["aggregate"][name] == serial["aggregate"][name]
 
 
+def test_rollout_matches_evaluate(pipeline, tmp_path):
+    # rollout is evaluate for one controller, plus the per-step errors
+    common = ["--data", pipeline / "data", "--seed", "11"]
+    assert run_cli("rollout", "--controller", pipeline / "lstm.json", *common,
+                   "--out", tmp_path / "rollout.json", "--steps-csv", tmp_path / "steps.csv") == 0
+    assert run_cli("evaluate", "--controllers", pipeline / "lstm.json", *common,
+                   "--out", tmp_path / "evaluate.json") == 0
+    rolled = json.loads((tmp_path / "rollout.json").read_text())
+    assert rolled == json.loads((tmp_path / "evaluate.json").read_text())
+    errors = {}
+    with open(tmp_path / "steps.csv", newline="") as f:
+        for r in csv.DictReader(f):
+            key = (r["controller"], r["task"], r["trajectory"])
+            errors.setdefault(key, []).append((int(r["step"]), float(r["squared_error"])))
+    assert len(errors) == len(rolled["trajectories"]) == 3
+    for row in rolled["trajectories"]:
+        steps = errors[(row["controller"], row["task"], row["trajectory"])]
+        assert [step for step, _ in steps] == list(range(row["steps"]))
+        assert float(np.mean([err for _, err in steps])) == row["mse"]
+
+
 def test_exosim_cli_writes_pose_log(pipeline, tmp_path):
     out = tmp_path / "pose.csv"
     assert run_cli("exosim", "--controller", pipeline / "quadrant.json",

@@ -19,7 +19,7 @@ from gazehead.controllers import (
     vector_step,
 )
 from gazehead.geometry import pitch_yaw_to_dir, vec3
-from gazehead.nn import DenseNet, LstmNet, LstmState, dense_forward, lstm_step
+from gazehead.nn import DenseNet, LstmNet, LstmState, dense_forward
 from oracles import control_law_mp
 
 QP = QuadrantParams()
@@ -197,7 +197,7 @@ def test_lstm_controller_delegates_and_is_stateful():
     b = gaze_dirs(0, 12)[0]
     head = vec3(0, 0, 1)
 
-    expect, state = lstm_step(net, LstmState.zeros(4), np.concatenate([a, a, head]))
+    expect, state = net.step(LstmState.zeros(4), np.concatenate([a, a, head]))
     got = ctrl.step(a, a, head, 1 / 45)
     assert abs(got[0] - expect[0]) < 1e-15 and abs(got[1] - expect[1]) < 1e-15
     assert np.array_equal(ctrl.state.hidden, state.hidden)

@@ -96,6 +96,36 @@ def test_malformed_row_reports_line(tmp_path):
     assert err.value.line_number == 2
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_token_reports_line(tmp_path, token):
+    path = tmp_path / "bad.jsonl"
+    save_trajectories(Trajectory(0, Task.LINEAR_PURSUIT, 90.0, [
+        make_sample(0.0, [0, 0, 1]),
+        make_sample(0.5, [0, 0, 1]),
+    ]), path)
+    lines = path.read_text().splitlines()
+    row = json.loads(lines[2])
+    lines[2] = lines[2].replace(json.dumps(row["t"]), token, 1)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TrajectoryFormatError, match=token) as err:
+        load_trajectories(path)
+    assert err.value.line_number == 3
+
+
+@pytest.mark.parametrize("rate", ["0", "-90.0", "\"inf\""])
+def test_non_positive_rate_reports_line(tmp_path, rate):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(
+        '{"participant": 0, "task": "linear-pursuit", "rate_hz": 90.0}\n'
+        '{"t": 0.0, "head_pos": [0,0,0], "head_dir": [0,0,1], "lo": [0,0,0], '
+        '"ld": [0,0,1], "ro": [0,0,0], "rd": [0,0,1], "valid": true}\n'
+        f'{{"participant": 1, "task": "linear-pursuit", "rate_hz": {rate}}}\n'
+    )
+    with pytest.raises(TrajectoryFormatError, match="rate_hz") as err:
+        load_trajectories(path)
+    assert err.value.line_number == 3
+
+
 def test_non_monotonic_timestamps_rejected(tmp_path):
     traj = Trajectory(0, Task.LINEAR_PURSUIT, 90.0, [
         make_sample(0.0, [0, 0, 1]),

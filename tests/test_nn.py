@@ -12,7 +12,6 @@ from gazehead.nn import (
     dense_forward,
     gradient_check,
     load_checkpoint,
-    lstm_step,
     save_checkpoint,
 )
 
@@ -62,7 +61,7 @@ def test_dense_shape_mismatch():
 
 def test_lstm_zero_net_stays_zero():
     net = zeroed(LstmNet(9, 4))
-    y, state = lstm_step(net, LstmState.zeros(4), np.ones(9))
+    y, state = net.step(LstmState.zeros(4), np.ones(9))
     assert np.array_equal(y, [0.0, 0.0])
     assert np.array_equal(state.cell, np.zeros(4))
     assert np.array_equal(state.hidden, np.zeros(4))
@@ -80,7 +79,7 @@ def test_lstm_hand_computed_oracle():
             "b_out": np.array([-0.1, 0.2]),
         }
     )
-    y, state = lstm_step(net, LstmState.zeros(1), np.array([0.5]))
+    y, state = net.step(LstmState.zeros(1), np.array([0.5]))
     assert abs(y[0] - -0.00797495501627872) < 1e-12
     assert abs(y[1] - 0.1386499700108525) < 1e-12
     assert abs(state.hidden[0] - 0.0766875374864344) < 1e-12
@@ -95,8 +94,8 @@ def test_lstm_closed_gates_make_cell_memoryless():
     net.b[hs : 2 * hs] = -60.0  # forget gate ~ 0
     net.b[3 * hs :] = -60.0  # output gate ~ 0, so hidden stays ~ 0
     x = np.array([0.4, -0.2, 0.9])
-    _, s1 = lstm_step(net, LstmState.zeros(hs), x)
-    _, s2 = lstm_step(net, s1, x)
+    _, s1 = net.step(LstmState.zeros(hs), x)
+    _, s2 = net.step(s1, x)
     assert np.all(np.abs(s2.cell - s1.cell) < 1e-9)
 
 
@@ -104,8 +103,8 @@ def test_lstm_statefulness():
     net = LstmNet(3, 4, seed=4)
     a = np.array([1.0, 0.0, 0.0])
     b = np.array([0.0, 1.0, 0.0])
-    _, s_ab = lstm_step(net, lstm_step(net, LstmState.zeros(4), a)[1], b)
-    _, s_ba = lstm_step(net, lstm_step(net, LstmState.zeros(4), b)[1], a)
+    _, s_ab = net.step(net.step(LstmState.zeros(4), a)[1], b)
+    _, s_ba = net.step(net.step(LstmState.zeros(4), b)[1], a)
     assert not np.allclose(s_ab.hidden, s_ba.hidden, atol=1e-9)
 
 

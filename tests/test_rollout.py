@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gazehead.controllers import Controller, QuadrantController
+from gazehead.controllers import Controller, LstmController, QuadrantController
 from gazehead.dataset import GazeSample, Task, TaskConfig, Trajectory, generate_task
 from gazehead.geometry import normalize, vec3
 from gazehead.rollout import (
@@ -13,7 +13,8 @@ from gazehead.rollout import (
     precompute_focal_points,
     rollout,
 )
-from gazehead.training import ZeroController, head_deltas
+from gazehead.nn import LstmNet
+from gazehead.training import TrainConfig, ZeroController, fit, head_deltas
 
 QUIET = RolloutConfig(noise_sigma_deg=0.0, seed=1)
 
@@ -212,3 +213,41 @@ def test_eval_table_json_shape():
     assert len(payload["trajectories"]) == 2
     steps = sum(r["steps"] for r in payload["trajectories"])
     assert payload["aggregate"]["zero"]["overall"]["steps"] == steps
+
+
+def test_lstm_rollout_ticks_at_its_trained_rate():
+    # an LSTM fitted on 90 Hz data downsampled 3x is a 30 Hz controller:
+    # it is stepped every third sample, with three sample periods as dt
+    _, traj = generate_task(Task.LINEAR_PURSUIT, TaskConfig(duration=1.0), seed=2)
+    controller, _ = fit(TrainConfig(family="lstm", hidden=(2,), epochs=1, lstm_downsample=3), [traj])
+    assert controller.train_rate_hz == 30.0
+    dts = []
+    inner = controller.step
+
+    def recording(left_dir, right_dir, head_dir, dt):
+        dts.append(dt)
+        return inner(left_dir, right_dir, head_dir, dt)
+
+    controller.step = recording
+    result = rollout(controller, traj, QUIET)
+    n = len(traj.samples)
+    assert dts == [(1.0 / traj.rate_hz) * 3] * len(range(0, n - 1, 3))
+    moved = [t for t in range(n - 1) if not np.array_equal(result.imputed[t + 1], result.imputed[t])]
+    assert moved == list(range(0, n - 1, 3))
+
+
+def test_stateful_rate_ratio_must_be_whole():
+    _, traj = generate_task(Task.LINEAR_PURSUIT, TaskConfig(duration=1.0), seed=2)
+    controller = LstmController(LstmNet(9, 2, seed=0), train_rate_hz=40.0)
+    with pytest.raises(ValueError, match=r"40 Hz.*90 Hz"):
+        rollout(controller, traj, QUIET)
+
+
+def test_evaluate_suite_rows_carry_step_errors():
+    _, oracle = generate_task(Task.ARC_PURSUIT, TaskConfig(duration=1.0), seed=6)
+    table = evaluate_suite({"quadrant": QuadrantController()}, [oracle], QUIET)
+    direct = rollout(QuadrantController(), oracle, QUIET)
+    (row,) = table.rows
+    assert np.array_equal(row.step_errors, direct.step_errors)
+    assert row.steps == len(direct.step_errors) and row.mse == direct.mse
+    assert "step_errors" not in table.to_json()["trajectories"][0]

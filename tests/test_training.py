@@ -152,6 +152,29 @@ def test_teacher_forcing_inputs_ignore_predictions():
     assert np.array_equal(x, x2)
 
 
+def test_head_deltas_unwrap_yaw_across_180():
+    # a head turning left through 180 degrees: yaw 179.5 -> -179.0 is a
+    # +1.5 degree step, not -358.5
+    from gazehead.dataset import GazeSample, Trajectory
+
+    yaws = [math.radians(v) for v in (178.0, 179.5, -179.0, -177.5)]
+    samples = [
+        GazeSample(
+            t=i / 90.0,
+            head_pos=vec3(0, 0, 0),
+            head_dir=pitch_yaw_to_dir(0.0, yaw),
+            left_origin=vec3(-0.03, 0, 0),
+            left_dir=vec3(0, 0, 1),
+            right_origin=vec3(0.03, 0, 0),
+            right_dir=vec3(0, 0, 1),
+        )
+        for i, yaw in enumerate(yaws)
+    ]
+    deltas = head_deltas(Trajectory(0, Task.LINEAR_PURSUIT, 90.0, samples))
+    assert np.allclose(deltas[:, 1], math.radians(1.5), atol=1e-12)
+    assert np.allclose(deltas[:, 0], 0.0, atol=1e-12)
+
+
 def test_head_deltas_match_generator_law():
     _, traj = generate_task(Task.LINEAR_PURSUIT, TaskConfig(duration=3.0), seed=2)
     deltas = head_deltas(traj)
@@ -290,6 +313,24 @@ def test_fit_lstm_consumes_downsampled_lengths():
 def test_fit_rejects_empty_training_set():
     with pytest.raises(ValueError):
         fit(TrainConfig(family="mlp"), [])
+
+
+def test_fit_rejects_mixed_sample_rates():
+    _, fast = generate_task(Task.LINEAR_PURSUIT, TaskConfig(duration=1.0), seed=1)
+    _, slow = generate_task(Task.LINEAR_PURSUIT, TaskConfig(duration=1.0, rate_hz=60.0), seed=2)
+    for family in ("quadrant", "vector", "mlp", "lstm"):
+        with pytest.raises(ValueError, match=r"60, 90 Hz"):
+            fit(TrainConfig(family=family, epochs=1, vector_iterations=1), [fast, slow])
+    with pytest.raises(ValueError, match=r"60, 90 Hz"):
+        fit_vector_params([fast, slow], iterations=1)
+
+
+def test_controller_without_predict_is_a_type_error():
+    class Bare(Controller):
+        family = "bare"
+
+    with pytest.raises(TypeError, match="Bare"):
+        predicted_deltas(Bare(), static_head_traj())
 
 
 def test_quadrant_training_report_is_teacher_forced_loss():
