@@ -95,9 +95,15 @@ class SplitSpec:
 
 
 class TrajectoryFormatError(ValueError):
-    def __init__(self, message, line_number):
-        super().__init__(f"line {line_number}: {message}")
+    """A malformed trajectory file, reported as ``<path>: line N: reason``
+    (without the path when it is not known)."""
+
+    def __init__(self, message, line_number, path=None):
+        where = f"line {line_number}" if path is None else f"{path}: line {line_number}"
+        super().__init__(f"{where}: {message}")
+        self.reason = message
         self.line_number = line_number
+        self.path = path
 
 
 def _reject_constant(token):
@@ -169,47 +175,55 @@ def _parse_sample(row, line_number):
 def load_trajectories(path):
     """Parse a JSONL trajectory file; returns only non-empty trajectories.
 
-    Raises TrajectoryFormatError with the offending line number for
-    malformed rows, NaN or Infinity tokens, a rate_hz that is not positive
-    and finite, or non-monotonic timestamps.
+    Raises TrajectoryFormatError with the path and the offending line
+    number for malformed rows, NaN or Infinity tokens, a rate_hz that is
+    not positive and finite, or non-monotonic timestamps.
     """
+    with open(path, encoding="utf-8") as f:
+        try:
+            return _parse_lines(f)
+        except TrajectoryFormatError as exc:
+            raise TrajectoryFormatError(exc.reason, exc.line_number, path) from exc
+
+
+def _parse_lines(f):
+    """Trajectories of an open JSONL file; errors name the line only."""
     trajectories = []
     current = None
-    with open(path, encoding="utf-8") as f:
-        for line_number, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    for line_number, line in enumerate(f, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            row = _DECODER.decode(line)
+        except json.JSONDecodeError as exc:
+            raise TrajectoryFormatError(f"invalid JSON ({exc.msg})", line_number) from exc
+        except ValueError as exc:  # from _reject_constant
+            raise TrajectoryFormatError(str(exc), line_number) from exc
+        if not isinstance(row, dict):
+            raise TrajectoryFormatError("expected a JSON object", line_number)
+        if "participant" in row:
+            if current is not None and current.samples:
+                trajectories.append(current)
             try:
-                row = _DECODER.decode(line)
-            except json.JSONDecodeError as exc:
-                raise TrajectoryFormatError(f"invalid JSON ({exc.msg})", line_number) from exc
-            except ValueError as exc:  # from _reject_constant
-                raise TrajectoryFormatError(str(exc), line_number) from exc
-            if not isinstance(row, dict):
-                raise TrajectoryFormatError("expected a JSON object", line_number)
-            if "participant" in row:
-                if current is not None and current.samples:
-                    trajectories.append(current)
-                try:
-                    current = Trajectory(
-                        participant_id=int(row["participant"]),
-                        task=Task(row["task"]),
-                        rate_hz=float(row["rate_hz"]),
-                    )
-                except (KeyError, ValueError) as exc:
-                    raise TrajectoryFormatError(f"malformed header ({exc})", line_number) from exc
-                if not (math.isfinite(current.rate_hz) and current.rate_hz > 0):
-                    raise TrajectoryFormatError(
-                        f"rate_hz must be positive and finite, got {current.rate_hz!r}", line_number
-                    )
-                continue
-            if current is None:
-                raise TrajectoryFormatError("sample row before any header", line_number)
-            sample = _parse_sample(row, line_number)
-            if current.samples and sample.t <= current.samples[-1].t:
-                raise TrajectoryFormatError("non-monotonic timestamp", line_number)
-            current.samples.append(sample)
+                current = Trajectory(
+                    participant_id=int(row["participant"]),
+                    task=Task(row["task"]),
+                    rate_hz=float(row["rate_hz"]),
+                )
+            except (KeyError, ValueError) as exc:
+                raise TrajectoryFormatError(f"malformed header ({exc})", line_number) from exc
+            if not (math.isfinite(current.rate_hz) and current.rate_hz > 0):
+                raise TrajectoryFormatError(
+                    f"rate_hz must be positive and finite, got {current.rate_hz!r}", line_number
+                )
+            continue
+        if current is None:
+            raise TrajectoryFormatError("sample row before any header", line_number)
+        sample = _parse_sample(row, line_number)
+        if current.samples and sample.t <= current.samples[-1].t:
+            raise TrajectoryFormatError("non-monotonic timestamp", line_number)
+        current.samples.append(sample)
     if current is not None and current.samples:
         trajectories.append(current)
     return trajectories

@@ -28,7 +28,24 @@ def vec3(x: float, y: float, z: float) -> Vec3:
 
 
 def norm(v: Vec3) -> float:
+    """Euclidean length; the same BLAS dot as np.linalg.norm, so the same bits."""
     return math.sqrt(float(v @ v))
+
+
+def norms(rows: np.ndarray) -> np.ndarray:
+    """norm of every row of an (N, 3) array, bit for bit: a stacked matmul
+    runs the same BLAS dot per row, where an elementwise sum of squares may
+    round differently."""
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+
+
+def cross(a: Vec3, b: Vec3) -> Vec3:
+    """np.cross of two 3-vectors without its axis handling: the same
+    formula, each product rounded and then the difference, on Python
+    floats."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 def normalize(v: Vec3) -> Vec3:
@@ -68,25 +85,46 @@ class FocalPoint:
     degenerate: bool
 
 
-def focal_point(left: Ray, right: Ray) -> FocalPoint:
-    """Binocular focal point of two gaze rays.
+def focal_points(lo: np.ndarray, ld: np.ndarray, ro: np.ndarray, rd: np.ndarray):
+    """Binocular focal points of N gaze-ray pairs, given as (N, 3) origins
+    and unit directions of the left and right rays.
 
-    The shortest segment between the two lines runs along the cross product
+    The shortest segment between two lines runs along the cross product
     of their directions; solving
 
         c_l * d_l - c_r * d_r + c_f * (d_l x d_r) = o_r - o_l
 
-    for (c_l, c_r, c_f) places its endpoints on each line. The returned
-    point is the segment midpoint.
+    for (c_l, c_r, c_f) places its endpoints on each line, and the focal
+    point is the segment midpoint. Returns (points, degenerate, gaps):
+    rows whose directions are parallel within PARALLEL_TOL are flagged
+    degenerate, never reach the solve, and get NaN point and gap. Raises
+    ValueError when a direction is not unit length.
     """
-    cross = np.cross(left.direction, right.direction)
-    cross_norm = norm(cross)
-    if cross_norm < PARALLEL_TOL:
+    if np.any(np.abs(norms(ld) - 1.0) > 1e-9) or np.any(np.abs(norms(rd) - 1.0) > 1e-9):
+        raise ValueError("ray direction must be unit length")
+    c = np.cross(ld, rd)
+    c_norm = norms(c)
+    degenerate = c_norm < PARALLEL_TOL
+    points = np.full(ld.shape, np.nan)
+    gaps = np.full(len(ld), np.nan)
+    ok = ~degenerate
+    lo, ld, ro, rd, c = lo[ok], ld[ok], ro[ok], rd[ok], c[ok]
+    m = np.stack([ld, -rd, c], axis=2)
+    # the trailing axis makes each right-hand side a column, not a matrix
+    coeffs = np.linalg.solve(m, (ro - lo)[..., None])[..., 0]
+    c_l, c_f = coeffs[:, :1], coeffs[:, 2:]
+    points[ok] = lo + c_l * ld + (0.5 * c_f) * c  # in Ray.at's order
+    gaps[ok] = np.abs(c_f[:, 0]) * c_norm[ok]
+    return points, degenerate, gaps
+
+
+def focal_point(left: Ray, right: Ray) -> FocalPoint:
+    """Binocular focal point of two gaze rays: focal_points on one row."""
+    rows = [v[None, :] for v in (left.origin, left.direction, right.origin, right.direction)]
+    points, degenerate, gaps = focal_points(*rows)
+    if degenerate[0]:
         return FocalPoint(point=None, gap=float("nan"), degenerate=True)
-    m = np.column_stack([left.direction, -right.direction, cross])
-    c_l, _, c_f = np.linalg.solve(m, right.origin - left.origin)
-    point = left.at(float(c_l)) + 0.5 * float(c_f) * cross
-    return FocalPoint(point=point, gap=abs(float(c_f)) * cross_norm, degenerate=False)
+    return FocalPoint(point=points[0], gap=float(gaps[0]), degenerate=False)
 
 
 def interpolate_blink(before: Vec3, after: Vec3, fraction: float) -> Vec3:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .controllers import Controller
 from .dataset import TASK_ORDER, Trajectory
-from .geometry import HeadOrientation, Ray, focal_point, rotate_head, vec3
+from .geometry import HeadOrientation, cross, focal_points, norm, rotate_head, vec3
 
 
 @dataclass
@@ -53,16 +53,16 @@ def precompute_focal_points(traj: Trajectory) -> np.ndarray:
     degenerate first sample is an error. Expects a blink-repaired
     trajectory.
     """
-    points = np.empty((len(traj.samples), 3))
-    for i, s in enumerate(traj.samples):
-        fp = focal_point(Ray(s.left_origin, s.left_dir), Ray(s.right_origin, s.right_dir))
-        if fp.degenerate:
-            if i == 0:
-                raise ValueError("first sample has parallel gaze; no focal point")
-            points[i] = points[i - 1]
-        else:
-            points[i] = fp.point
-    return points
+    samples = traj.samples
+    rays = [np.array([getattr(s, name) for s in samples])
+            for name in ("left_origin", "left_dir", "right_origin", "right_dir")]
+    points, degenerate, _ = focal_points(*rays)
+    if degenerate[0]:
+        raise ValueError("first sample has parallel gaze; no focal point")
+    # each degenerate row takes the point of the last row before it that has one
+    index = np.arange(len(points))
+    index[degenerate] = 0
+    return points[np.maximum.accumulate(index)]
 
 
 def _perturb(direction, sigma_rad, rng):
@@ -71,12 +71,12 @@ def _perturb(direction, sigma_rad, rng):
     angle = abs(rng.normal(0.0, sigma_rad))
     while True:
         raw = rng.normal(size=3)
-        axis = np.cross(direction, raw)
-        n = np.linalg.norm(axis)
+        axis = cross(direction, raw)
+        n = norm(axis)
         if n > 1e-9:
             axis /= n
             break
-    return direction * math.cos(angle) + np.cross(axis, direction) * math.sin(angle)
+    return direction * math.cos(angle) + cross(axis, direction) * math.sin(angle)
 
 
 def _rollout_rng(config: RolloutConfig, traj: Trajectory):
@@ -130,8 +130,8 @@ def rollout(controller: Controller, traj: Trajectory, config: RolloutConfig) -> 
             right_origin = head_pos + rot @ right_local
             left_dir = focal[t] - left_origin
             right_dir = focal[t] - right_origin
-            left_dir = left_dir / np.linalg.norm(left_dir)
-            right_dir = right_dir / np.linalg.norm(right_dir)
+            left_dir = left_dir / norm(left_dir)
+            right_dir = right_dir / norm(right_dir)
             if sigma > 0.0:
                 left_dir = _perturb(left_dir, sigma, rng)
                 right_dir = _perturb(right_dir, sigma, rng)

@@ -2,11 +2,18 @@
 
 These deliberately avoid the closed-form paths in the package: the ray
 oracle is a grid search, the control-law oracle is 50-digit arithmetic,
-gradients are central finite differences.
+gradients are central finite differences. The rollout oracles are the
+plain per-sample form (np.cross, np.linalg.norm, one 3x3 solve per
+sample) that the package's faster rollout must match bit for bit.
 """
+
+import math
 
 import mpmath
 import numpy as np
+
+from gazehead.dataset import TASK_ORDER
+from gazehead.geometry import HeadOrientation, rotate_head
 
 
 def grid_closest_point(o1, d1, o2, d2, lo=-15.0, hi=15.0, rounds=6, n=121):
@@ -48,3 +55,83 @@ def central_diff(f, x, h=1e-5):
 
 def rel_err(analytic, numeric, floor=1e-8):
     return abs(analytic - numeric) / max(abs(analytic) + abs(numeric), floor)
+
+
+def focal_point_scalar(lo, ld, ro, rd):
+    """Per-sample focal point: np.cross, one 3x3 solve, segment midpoint.
+    Returns (point, gap), or (None, nan) for parallel directions."""
+    cross = np.cross(ld, rd)
+    cross_norm = np.linalg.norm(cross)
+    if cross_norm < 1e-9:
+        return None, float("nan")
+    m = np.column_stack([ld, -rd, cross])
+    c_l, _, c_f = np.linalg.solve(m, ro - lo)
+    point = (lo + float(c_l) * ld) + 0.5 * float(c_f) * cross
+    return point, abs(float(c_f)) * cross_norm
+
+
+def focal_points_loop(traj):
+    """One focal point per sample; a parallel sample inherits the previous."""
+    points = np.empty((len(traj.samples), 3))
+    for i, s in enumerate(traj.samples):
+        point, _ = focal_point_scalar(s.left_origin, s.left_dir, s.right_origin, s.right_dir)
+        if point is None:
+            if i == 0:
+                raise ValueError("first sample has parallel gaze; no focal point")
+            points[i] = points[i - 1]
+        else:
+            points[i] = point
+    return points
+
+
+def perturb_np(direction, sigma_rad, rng):
+    """Per-eye gaze perturbation drawn and rotated with np.cross."""
+    angle = abs(rng.normal(0.0, sigma_rad))
+    while True:
+        raw = rng.normal(size=3)
+        axis = np.cross(direction, raw)
+        n = np.linalg.norm(axis)
+        if n > 1e-9:
+            axis /= n
+            break
+    return direction * math.cos(angle) + np.cross(axis, direction) * math.sin(angle)
+
+
+def rollout_loop(controller, traj, noise_sigma_deg, seed, every, n=None, eye_offset=0.03):
+    """Closed-loop rollout step by step; returns (imputed, step_errors).
+
+    The controller steps every ``every`` samples with that many sample
+    periods as dt; ``n`` caps the number of steps.
+    """
+    focal = focal_points_loop(traj)
+    rng = np.random.default_rng([seed, traj.participant_id, TASK_ORDER.index(traj.task)])
+    sigma = math.radians(noise_sigma_deg)
+    dt = 1.0 / traj.rate_hz
+    n = len(traj.samples) if n is None else n
+    controller.reset()
+    head = HeadOrientation.from_forward(traj.samples[0].head_dir)
+    left_local = np.array([-eye_offset, 0.0, 0.0])
+    right_local = np.array([eye_offset, 0.0, 0.0])
+    imputed = np.empty((n, 3))
+    errors = np.empty(n)
+    for t in range(n):
+        forward = head.forward
+        imputed[t] = forward
+        diff = forward - traj.samples[t].head_dir
+        errors[t] = float(diff @ diff)
+        if t == n - 1:
+            break
+        rot = head.rotation()
+        head_pos = traj.samples[t].head_pos
+        dpitch, dyaw = 0.0, 0.0
+        if t % every == 0:
+            left_dir = focal[t] - (head_pos + rot @ left_local)
+            right_dir = focal[t] - (head_pos + rot @ right_local)
+            left_dir = left_dir / np.linalg.norm(left_dir)
+            right_dir = right_dir / np.linalg.norm(right_dir)
+            if sigma > 0.0:
+                left_dir = perturb_np(left_dir, sigma, rng)
+                right_dir = perturb_np(right_dir, sigma, rng)
+            dpitch, dyaw = controller.step(rot.T @ left_dir, rot.T @ right_dir, forward, dt * every)
+        head = rotate_head(head, dpitch, dyaw)
+    return imputed, errors

@@ -69,6 +69,21 @@ def test_missing_data_dir_runtime_error(tmp_path):
     assert code == 1
 
 
+def test_bad_trajectory_file_is_named_in_the_error(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert run_cli("generate", "--task", "linear-pursuit", "--participants", "2",
+                   "--trials-per-task", "1", "--duration", "1.0", "--out", data) == 0
+    bad = sorted(data.iterdir())[1]
+    lines = bad.read_text().splitlines()
+    lines[2] = re.sub(r'"t": [^,]+', '"t": NaN', lines[2])
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("train", "--family", "quadrant", "--data", data,
+                   "--out", tmp_path / "q.json") == 1
+    err = capsys.readouterr().err
+    assert f"{bad}: line 3: non-finite number NaN" in err
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """generate -> train all four families -> evaluate -> report."""

@@ -112,6 +112,15 @@ def test_non_finite_token_reports_line(tmp_path, token):
     assert err.value.line_number == 3
 
 
+def test_format_error_names_the_file(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"participant": 0, "task": "linear-pursuit", "rate_hz": 90.0}\n[1, 2]\n')
+    with pytest.raises(TrajectoryFormatError) as err:
+        load_trajectories(path)
+    assert err.value.path == path and err.value.line_number == 2
+    assert str(err.value) == f"{path}: line 2: expected a JSON object"
+
+
 @pytest.mark.parametrize("rate", ["0", "-90.0", "\"inf\""])
 def test_non_positive_rate_reports_line(tmp_path, rate):
     path = tmp_path / "bad.jsonl"

@@ -2,15 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gazehead.geometry import (
     HeadOrientation,
     Ray,
+    cross,
     dir_to_pitch_yaw,
     focal_point,
     head_rotation,
     interpolate_blink,
+    norm,
     normalize,
+    norms,
     pitch_yaw_to_dir,
     rotate_head,
     vec3,
@@ -84,6 +89,23 @@ def test_focal_point_through_common_point():
         fp = focal_point(Ray(o1, d1), Ray(o2, d2))
         assert np.linalg.norm(fp.point - target) < 1e-9
         assert fp.gap < 1e-9
+
+
+# finite components whose products and sums of squares stay finite
+vectors = st.lists(
+    st.floats(min_value=-1e150, max_value=1e150, allow_nan=False, width=64), min_size=3, max_size=3
+).map(np.array)
+
+
+@given(vectors, vectors)
+def test_cross_is_np_cross_bitwise(a, b):
+    assert cross(a, b).tobytes() == np.cross(a, b).tobytes()
+
+
+@given(vectors)
+def test_norm_is_np_linalg_norm_bitwise(v):
+    assert norm(v) == np.linalg.norm(v)
+    assert norms(v[None, :])[0] == norm(v)
 
 
 def test_interpolate_blink_constant():

@@ -3,9 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from gazehead.controllers import Controller, LstmController, QuadrantController
+from gazehead.controllers import (
+    Controller,
+    LstmController,
+    MlpController,
+    QuadrantController,
+    VectorAxisParams,
+    VectorController,
+    VectorParams,
+)
 from gazehead.dataset import GazeSample, Task, TaskConfig, Trajectory, generate_task
-from gazehead.geometry import normalize, vec3
+from gazehead.geometry import focal_points, normalize, vec3
 from gazehead.rollout import (
     EvalTable,
     RolloutConfig,
@@ -13,8 +21,9 @@ from gazehead.rollout import (
     precompute_focal_points,
     rollout,
 )
-from gazehead.nn import LstmNet
+from gazehead.nn import DenseNet, LstmNet
 from gazehead.training import TrainConfig, ZeroController, fit, head_deltas
+from oracles import focal_point_scalar, focal_points_loop, rollout_loop
 
 QUIET = RolloutConfig(noise_sigma_deg=0.0, seed=1)
 
@@ -251,3 +260,69 @@ def test_evaluate_suite_rows_carry_step_errors():
     assert np.array_equal(row.step_errors, direct.step_errors)
     assert row.steps == len(direct.step_errors) and row.mse == direct.mse
     assert "step_errors" not in table.to_json()["trajectories"][0]
+
+
+def degenerate_interior_traj():
+    """A 2 s trajectory whose sample 40 has parallel gaze, so it inherits
+    the focal point of sample 39."""
+    _, traj = generate_task(Task.ARC_PURSUIT, TaskConfig(duration=2.0), seed=12)
+    traj.participant_id = 3
+    traj.samples[40].right_dir = traj.samples[40].left_dir.copy()
+    return traj
+
+
+def parity_controllers():
+    axis = VectorAxisParams(v=2.0, a=0.5, b=8.0, c=0.0)
+    return [
+        (QuadrantController(), 1),
+        (VectorController(VectorParams(axis, axis)), 1),
+        (MlpController(DenseNet([9, 8, 2], seed=4)), 1),
+        (LstmController(LstmNet(9, 3, seed=5), train_rate_hz=45.0), 2),
+    ]
+
+
+def test_precompute_focal_points_matches_per_sample_loop_bitwise():
+    traj = degenerate_interior_traj()
+    points = precompute_focal_points(traj)
+    assert np.array_equal(points[40], points[39])
+    assert points.tobytes() == focal_points_loop(traj).tobytes()
+
+
+@pytest.mark.parametrize("sigma", [0.5, 0.0])
+def test_rollout_matches_step_loop_oracle_bitwise(sigma):
+    traj = degenerate_interior_traj()
+    config = RolloutConfig(noise_sigma_deg=sigma, seed=21, duration_cap_s=1.5)
+    for controller, every in parity_controllers():
+        result = rollout(controller, traj, config)
+        imputed, errors = rollout_loop(controller, traj, sigma, 21, every, n=135)
+        assert len(errors) == 135
+        assert result.imputed.tobytes() == imputed.tobytes(), controller.name
+        assert result.step_errors.tobytes() == errors.tobytes(), controller.name
+
+
+def test_batched_focal_points_match_scalar_oracle_bitwise():
+    rng = np.random.default_rng(17)
+    n = 400
+    lo, ro = rng.uniform(-1, 1, (n, 3)), rng.uniform(-1, 1, (n, 3))
+    ld, rd = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
+    rd[::7] = ld[::7]  # exactly parallel rows
+    rd[3::7] = -ld[3::7]  # antiparallel rows
+    ld /= np.linalg.norm(ld, axis=1, keepdims=True)
+    rd /= np.linalg.norm(rd, axis=1, keepdims=True)
+    points, degenerate, gaps = focal_points(lo, ld, ro, rd)
+    assert degenerate.sum() >= 2 * (n // 7)
+    for i in range(n):
+        point, gap = focal_point_scalar(lo[i], ld[i], ro[i], rd[i])
+        assert degenerate[i] == (point is None)
+        if point is None:
+            assert np.isnan(points[i]).all() and np.isnan(gaps[i])
+        else:
+            assert points[i].tobytes() == point.tobytes()
+            assert gaps[i] == gap
+
+
+def test_focal_points_reject_non_unit_direction():
+    rows = [np.zeros((2, 3)), np.array([[0, 0, 1.0], [0, 0, 1.1]]),
+            np.ones((2, 3)), np.array([[0, 1.0, 0], [0, 1.0, 0]])]
+    with pytest.raises(ValueError, match="unit length"):
+        focal_points(*rows)

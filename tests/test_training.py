@@ -27,6 +27,7 @@ from gazehead.training import (
     net_inputs,
     predicted_deltas,
     teacher_forced_loss,
+    zero_baseline_loss,
 )
 from oracles import rel_err
 
@@ -289,6 +290,15 @@ def test_fit_vector_improves_over_zero_baseline():
     train, test = trajs[:2], trajs[2:]
     controller, report = fit(TrainConfig(family="vector"), train, test)
     assert report.test_mse <= 0.1 * report.zero_baseline_test_mse
+
+
+def test_zero_baseline_equals_zero_controller_loss_exactly():
+    trajs = make_dataset(3, duration=4.0)
+    slow = [downsample(t, 2) for t in trajs]
+    for group in (trajs, slow):
+        assert zero_baseline_loss(group) == dataset_loss(ZeroController(), group)
+    _, report = fit(TrainConfig(family="vector", vector_iterations=50), trajs[:2], trajs[2:])
+    assert report.zero_baseline_test_mse == dataset_loss(ZeroController(), trajs[2:])
 
 
 def test_fit_same_seed_is_bitwise_identical():
