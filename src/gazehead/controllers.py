@@ -2,7 +2,8 @@
 
 Every controller maps head-relative gaze (left/right eye unit directions)
 plus the world-frame head direction to a per-tick (delta pitch, delta yaw)
-command in radians. Four families:
+command in radians, one row at a time (``step``) or for many independent
+rows at once (``step_rows``, with the same bits per row). Four families:
 
 - quadrant: axis-aligned constant-speed motion outside a circular deadzone.
 - vector: a per-axis sigmoid-gated velocity law with a soft deadzone.
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import dir_to_pitch_yaw, dirs_to_pitch_yaw, normalize
+from .geometry import dir_to_pitch_yaw, dirs_to_pitch_yaw, normalize, norms
 from .nn import DenseNet, LstmNet, LstmState, dense_forward, load_checkpoint, save_checkpoint
 
 _EXP_MAX = 700.0  # exp() overflow guard; beyond this the law is exactly 0
@@ -114,6 +115,23 @@ def combined_gaze_angles(left_dir, right_dir):
     return math.degrees(pitch), math.degrees(yaw)
 
 
+def _unit_rows(rows):
+    """normalize on every row of an (N, 3) array, bit for bit."""
+    n = norms(rows)
+    if np.any(n < 1e-9):
+        raise ValueError("cannot normalize a near-zero vector")
+    return rows / n[:, None]
+
+
+def _combined_angle_rows(x):
+    """combined_gaze_angles of every row of (K, 9) inputs, bit for bit:
+    the normalization is batched, the angles use ``math`` row by row
+    (numpy's arcsin and arctan2 round differently)."""
+    for d in _unit_rows(x[:, 0:3] + x[:, 3:6]).tolist():
+        pitch, yaw = dir_to_pitch_yaw(d)
+        yield math.degrees(pitch), math.degrees(yaw)
+
+
 def combined_inputs(x):
     """(N, 6) inputs from (N, 9) ones: the normalized mean of the left and
     right gaze, then the head direction."""
@@ -136,6 +154,12 @@ class Controller:
     radians. ``faulted`` latches when a non-finite command was replaced by
     (0, 0).
 
+    step_rows() steps K of the independent rows set up by ``reset_rows``
+    at once: (K, 9) inputs in the ``training.net_inputs`` layout, (K,)
+    tick durations and the (K,) row indices -> (K, 2) commands and the
+    (K,) mask of rows whose command was replaced by (0, 0). Every row gets
+    the bits ``step`` would give it.
+
     predict() is the teacher-forced counterpart, the one place a family's
     maths meets a whole trajectory: (T-1, 9) ground-truth inputs from
     ``training.net_inputs`` and tick length dt -> (T-1, 2) radians.
@@ -151,8 +175,25 @@ class Controller:
     def reset(self):
         self.faulted = False
 
+    def reset_rows(self, rows):
+        """reset, then set up ``rows`` independent rows for step_rows."""
+        self.reset()
+
     def step(self, left_dir, right_dir, head_dir, dt):
         raise NotImplementedError
+
+    def step_rows(self, x, dt, rows):
+        """``step`` on each row in turn: right for a controller that keeps
+        no per-row state, or when it steps one row."""
+        out = np.empty((len(x), 2))
+        faults = np.zeros(len(x), dtype=bool)
+        latched = self.faulted
+        for k, (row, row_dt) in enumerate(zip(x, dt.tolist())):
+            self.faulted = False
+            out[k] = self.step(row[0:3], row[3:6], row[6:9], row_dt)
+            faults[k] = self.faulted
+        self.faulted = latched or bool(faults.any())
+        return out, faults
 
     def predict(self, x, dt):
         raise TypeError(f"{type(self).__name__} has no teacher-forced prediction")
@@ -162,6 +203,24 @@ class Controller:
             self.faulted = True
             return 0.0, 0.0
         return dpitch, dyaw
+
+    def _law_rows(self, x, dt, law):
+        """step_rows of an angle-level law(gaze_pitch, gaze_yaw, dt) in
+        degrees, converted to radians row by row."""
+        out = np.empty((len(x), 2))
+        for k, ((gp, gy), row_dt) in enumerate(zip(_combined_angle_rows(x), dt.tolist())):
+            dp, dy = law(gp, gy, row_dt)
+            out[k] = math.radians(dp), math.radians(dy)
+        return out, self._guard_rows(out)
+
+    def _guard_rows(self, out):
+        """_guard on every row of (K, 2) commands, in place; returns the
+        (K,) fault mask."""
+        faults = ~np.isfinite(out).all(axis=1)
+        if faults.any():
+            out[faults] = 0.0
+            self.faulted = True
+        return faults
 
 
 class QuadrantController(Controller):
@@ -175,6 +234,9 @@ class QuadrantController(Controller):
         gp, gy = combined_gaze_angles(left_dir, right_dir)
         dp, dy = quadrant_step(self.params, gp, gy, dt)
         return self._guard(math.radians(dp), math.radians(dy))
+
+    def step_rows(self, x, dt, rows):
+        return self._law_rows(x, dt, lambda gp, gy, d: quadrant_step(self.params, gp, gy, d))
 
     def predict(self, x, dt):
         out = np.array([quadrant_step(self.params, p, y, dt) for p, y in gaze_angles(x)])
@@ -192,6 +254,9 @@ class VectorController(Controller):
         gp, gy = combined_gaze_angles(left_dir, right_dir)
         dp, dy = vector_step(self.params, gp, gy, dt)
         return self._guard(math.radians(dp), math.radians(dy))
+
+    def step_rows(self, x, dt, rows):
+        return self._law_rows(x, dt, lambda gp, gy, d: vector_step(self.params, gp, gy, d))
 
     def predict(self, x, dt):
         angles = gaze_angles(x)
@@ -222,6 +287,10 @@ class MlpController(Controller):
         out = dense_forward(self.net, x) * (dt * self.train_rate_hz)
         return self._guard(float(out[0]), float(out[1]))
 
+    def step_rows(self, x, dt, rows):
+        out = self.net.forward_rows(x) * (dt * self.train_rate_hz)[:, None]
+        return out, self._guard_rows(out)
+
     def predict(self, x, dt):
         return self.net.forward_batch(x) * (dt * self.train_rate_hz)
 
@@ -231,6 +300,9 @@ class LstmController(Controller):
 
     It is stepped at ``train_rate_hz`` (45 Hz by default, half the 90 Hz
     data rate): a rollout calls it every rate_hz / train_rate_hz samples.
+    ``state`` is the state of ``step``; ``row_state`` holds the (rows, H)
+    states of ``step_rows``, and a row's state stops advancing once that
+    row has faulted, as ``step``'s does once ``faulted`` is set.
     """
 
     family = "lstm"
@@ -240,11 +312,17 @@ class LstmController(Controller):
         super().__init__(name)
         self.net = net
         self.train_rate_hz = float(train_rate_hz)
-        self.state = LstmState.zeros(net.hidden_size)
+        self.reset_rows(1)
 
     def reset(self):
         super().reset()
         self.state = LstmState.zeros(self.net.hidden_size)
+
+    def reset_rows(self, rows):
+        super().reset_rows(rows)
+        hs = self.net.hidden_size
+        self.row_state = LstmState(np.zeros((rows, hs)), np.zeros((rows, hs)))
+        self.row_faulted = np.zeros(rows, dtype=bool)
 
     def step(self, left_dir, right_dir, head_dir, dt):
         x = np.concatenate([left_dir, right_dir, head_dir])
@@ -256,6 +334,19 @@ class LstmController(Controller):
         if not self.faulted:
             self.state = state
         return dp, dy
+
+    def step_rows(self, x, dt, rows):
+        if self.net.input_size == 6:
+            x = np.concatenate([_unit_rows(x[:, 0:3] + x[:, 3:6]), x[:, 6:9]], axis=1)
+        state = self.row_state
+        y, hidden, cell = self.net.step_rows(state.hidden[rows], state.cell[rows], x)
+        out = y * (dt * self.train_rate_hz)[:, None]
+        faults = self._guard_rows(out)
+        self.row_faulted[rows] |= faults
+        keep = ~self.row_faulted[rows]
+        state.hidden[rows[keep]] = hidden[keep]
+        state.cell[rows[keep]] = cell[keep]
+        return out, faults
 
     def predict(self, x, dt):
         if self.net.input_size == 6:

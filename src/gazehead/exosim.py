@@ -94,7 +94,6 @@ class ExoState:
     yaw: float = 0.0
     roll: float = 0.0
     tick: int = 0
-    last_command: tuple = (0.0, 0.0)
     pitch_saturated: bool = False
     yaw_saturated: bool = False
     controller_faulted: bool = False
@@ -136,7 +135,6 @@ class ExoSim:
             self.controller.faulted = False
         cmd_pitch = state.pitch + math.degrees(dpitch)
         cmd_yaw = state.yaw + math.degrees(dyaw)
-        state.last_command = (cmd_pitch, cmd_yaw)
         pitch, yaw = limit_velocity(
             state.pitch, state.yaw, cmd_pitch, cmd_yaw, self.tick_dt, self.limits
         )

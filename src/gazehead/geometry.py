@@ -39,13 +39,22 @@ def norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
 
 
+def crosses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross of every row pair of two (N, 3) arrays without its axis
+    handling: the same formula, written out over the columns, each product
+    rounded and then the difference."""
+    a0, a1, a2 = a[:, 0], a[:, 1], a[:, 2]
+    b0, b1, b2 = b[:, 0], b[:, 1], b[:, 2]
+    out = np.empty((len(a), 3))
+    out[:, 0] = a1 * b2 - a2 * b1
+    out[:, 1] = a2 * b0 - a0 * b2
+    out[:, 2] = a0 * b1 - a1 * b0
+    return out
+
+
 def cross(a: Vec3, b: Vec3) -> Vec3:
-    """np.cross of two 3-vectors without its axis handling: the same
-    formula, each product rounded and then the difference, on Python
-    floats."""
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    """np.cross of two 3-vectors: crosses on one row."""
+    return crosses(a[None, :], b[None, :])[0]
 
 
 def normalize(v: Vec3) -> Vec3:

@@ -56,15 +56,26 @@ class DenseNet:
             self.weights[i] = np.asarray(params[f"w{i}"], dtype=float).reshape(self.weights[i].shape)
             self.biases[i] = np.asarray(params[f"b{i}"], dtype=float).reshape(self.biases[i].shape)
 
-    def forward_batch(self, x):
-        """x: (T, in) -> (T, out)."""
-        a = np.asarray(x, dtype=float)
+    def _forward(self, a):
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             a = a @ w.T + b
             if i != last:
                 a = np.tanh(a)
         return a
+
+    def forward_batch(self, x):
+        """x: (T, in) -> (T, out), one matmul per layer over all rows."""
+        return self._forward(np.asarray(x, dtype=float))
+
+    def forward_rows(self, x):
+        """x: (K, in) -> (K, out), each row through its own product.
+
+        A stacked ``(K, 1, in) @ (in, out)`` matmul gives every row the
+        bits of a one-row forward; the plain matmul of forward_batch
+        rounds some rows differently.
+        """
+        return self._forward(np.asarray(x, dtype=float)[:, None, :])[:, 0, :]
 
     def sequence_loss_grads(self, inputs, targets):
         """Mean-squared-error loss and exact gradients over a sequence.
@@ -98,11 +109,11 @@ class DenseNet:
 
 
 def dense_forward(net: DenseNet, x) -> np.ndarray:
-    """Forward pass for a single input vector."""
+    """Forward pass for a single input vector: forward_rows on one row."""
     x = np.asarray(x, dtype=float)
     if x.shape != (net.input_size,):
         raise ValueError(f"expected input of shape ({net.input_size},), got {x.shape}")
-    return net.forward_batch(x[None, :])[0]
+    return net.forward_rows(x[None, :])[0]
 
 
 @dataclass
@@ -144,22 +155,33 @@ class LstmNet:
         self.w_out = np.asarray(params["w_out"], dtype=float).reshape(self.w_out.shape)
         self.b_out = np.asarray(params["b_out"], dtype=float).reshape(self.b_out.shape)
 
-    def _gates(self, x, h):
-        z = self.w @ np.concatenate([x, h]) + self.b
+    def _advance(self, z, cell):
+        """Gates from preactivations z (..., 4H), then the new (hidden, cell)."""
         hs = self.hidden_size
-        i = _sigmoid(z[:hs])
-        f = _sigmoid(z[hs : 2 * hs])
-        g = np.tanh(z[2 * hs : 3 * hs])
-        o = _sigmoid(z[3 * hs :])
-        return i, f, g, o
+        i = _sigmoid(z[..., :hs])
+        f = _sigmoid(z[..., hs : 2 * hs])
+        g = np.tanh(z[..., 2 * hs : 3 * hs])
+        o = _sigmoid(z[..., 3 * hs :])
+        cell = f * cell + i * g
+        return o * np.tanh(cell), cell
+
+    def step_rows(self, hidden, cell, x):
+        """One step of K independent sequences: (K, H) hidden and cell
+        state and (K, in) inputs -> (K, out) outputs, new hidden, new cell.
+
+        Each matrix-vector product is a stacked ``(K, n, 1)`` matmul, which
+        gives every row the bits of ``step``.
+        """
+        v = np.concatenate([x, hidden], axis=1)
+        hidden, cell = self._advance((self.w @ v[:, :, None])[:, :, 0] + self.b, cell)
+        return (self.w_out @ hidden[:, :, None])[:, :, 0] + self.b_out, hidden, cell
 
     def step(self, state: LstmState, x):
+        """step_rows on one row, with plain matrix-vector products: they
+        round as the stacked ones do, and cost less on a single row."""
         x = np.asarray(x, dtype=float)
-        i, f, g, o = self._gates(x, state.hidden)
-        cell = f * state.cell + i * g
-        hidden = o * np.tanh(cell)
-        y = self.w_out @ hidden + self.b_out
-        return y, LstmState(hidden, cell)
+        hidden, cell = self._advance(self.w @ np.concatenate([x, state.hidden]) + self.b, state.cell)
+        return self.w_out @ hidden + self.b_out, LstmState(hidden, cell)
 
     def sequence_loss_grads(self, inputs, targets):
         """Full-sequence backprop through time from zero initial state.

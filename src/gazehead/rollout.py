@@ -9,6 +9,10 @@ is expressed in the virtual head's frame, and the controller's command is
 applied. The error at each step is the squared Euclidean distance between
 the virtual and recorded head direction vectors, so per-step error lies in
 [0, 4].
+
+``lockstep`` advances every (controller, trajectory) row of a call together
+on (rows, ...) arrays, with the bits each row would get on its own;
+``rollout`` is its one-row call.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from .controllers import Controller
 from .dataset import TASK_ORDER, Trajectory
-from .geometry import HeadOrientation, cross, focal_points, norm, rotate_head, vec3
+from .geometry import PITCH_LIMIT, crosses, dir_to_pitch_yaw, focal_points, norms
 
 
 @dataclass
@@ -65,20 +69,6 @@ def precompute_focal_points(traj: Trajectory) -> np.ndarray:
     return points[np.maximum.accumulate(index)]
 
 
-def _perturb(direction, sigma_rad, rng):
-    """Rotate by |N(0, sigma)| about a random axis perpendicular to the
-    direction (Rodrigues, with the parallel term dropped)."""
-    angle = abs(rng.normal(0.0, sigma_rad))
-    while True:
-        raw = rng.normal(size=3)
-        axis = cross(direction, raw)
-        n = norm(axis)
-        if n > 1e-9:
-            axis /= n
-            break
-    return direction * math.cos(angle) + cross(axis, direction) * math.sin(angle)
-
-
 def _rollout_rng(config: RolloutConfig, traj: Trajectory):
     return np.random.default_rng(
         [int(config.seed), int(traj.participant_id), TASK_ORDER.index(traj.task)]
@@ -97,55 +87,168 @@ def _tick_divisor(controller: Controller, traj: Trajectory) -> int:
     return round(ratio)
 
 
-def rollout(controller: Controller, traj: Trajectory, config: RolloutConfig) -> RolloutResult:
-    """Closed-loop simulation of one trial; deterministic for a given seed."""
-    every = _tick_divisor(controller, traj)
-    focal = precompute_focal_points(traj)
-    rng = _rollout_rng(config, traj)
-    sigma = math.radians(config.noise_sigma_deg)
-    dt = 1.0 / traj.rate_hz
-    n = len(traj.samples)
-    if config.duration_cap_s is not None:
-        n = min(n, int(config.duration_cap_s * traj.rate_hz))
+class _Noise:
+    """One standard-normal stream per trajectory, drawn from its rollout
+    generator in blocks; every row reads its trajectory's stream from its
+    own position, as if it owned the generator.
 
-    controller.reset()
-    head = HeadOrientation.from_forward(traj.samples[0].head_dir)
-    left_local = vec3(-config.eye_offset, 0.0, 0.0)
-    right_local = vec3(config.eye_offset, 0.0, 0.0)
-    imputed = np.empty((n, 3))
-    errors = np.empty(n)
-    faulted = False
-    for t in range(n):
-        forward = head.forward
-        imputed[t] = forward
-        diff = forward - traj.samples[t].head_dir
-        errors[t] = float(diff @ diff)
-        if t == n - 1:
-            break
-        rot = head.rotation()
-        head_pos = traj.samples[t].head_pos
-        dpitch, dyaw = 0.0, 0.0
-        if t % every == 0:
-            left_origin = head_pos + rot @ left_local
-            right_origin = head_pos + rot @ right_local
-            left_dir = focal[t] - left_origin
-            right_dir = focal[t] - right_origin
-            left_dir = left_dir / norm(left_dir)
-            right_dir = right_dir / norm(right_dir)
-            if sigma > 0.0:
-                left_dir = _perturb(left_dir, sigma, rng)
-                right_dir = _perturb(right_dir, sigma, rng)
-            dpitch, dyaw = controller.step(rot.T @ left_dir, rot.T @ right_dir, forward, dt * every)
-            if controller.faulted:
-                faulted = True
-        head = rotate_head(head, dpitch, dyaw)
-    return RolloutResult(
-        imputed=imputed,
-        step_errors=errors,
-        mse=float(np.mean(errors)),
-        task=traj.task.value,
-        faulted=faulted,
-    )
+    Reading the values of ``normal(0.0, sigma)`` and ``normal(size=3)`` from
+    a block as ``0.0 + sigma * z`` and ``z`` gives the same bits as drawing
+    them one call at a time.
+    """
+
+    def __init__(self, rngs, sizes):
+        self.rngs = rngs
+        self.drawn = np.array(sizes)
+        self.z = np.zeros((len(rngs), max(sizes)))
+        for j, (rng, size) in enumerate(zip(rngs, sizes)):
+            self.z[j, :size] = rng.standard_normal(size)
+
+    def take(self, traj_index, pos, width):
+        """(K, width) values of trajectory traj_index[k]'s stream from
+        pos[k]; a stream that runs out is extended from its generator."""
+        end = pos + width
+        short = end > self.drawn[traj_index]
+        if short.any():
+            for j in np.unique(traj_index[short]):
+                self._extend(j, end[traj_index == j].max())
+        return self.z[traj_index[:, None], pos[:, None] + np.arange(width)]
+
+    def _extend(self, j, end):
+        extra = self.rngs[j].standard_normal(max(end - self.drawn[j], 64))
+        stop = self.drawn[j] + len(extra)
+        if stop > self.z.shape[1]:
+            self.z = np.pad(self.z, ((0, 0), (0, stop - self.z.shape[1])))
+        self.z[j, self.drawn[j] : stop] = extra
+        self.drawn[j] = stop
+
+
+def _perturb_rows(dirs, sigma_rad, noise, traj_index, pos):
+    """Rotate each unit direction by |N(0, sigma)| about a random axis
+    perpendicular to it (Rodrigues, with the parallel term dropped); a raw
+    axis draw that is parallel to the direction is drawn again. Returns the
+    perturbed (K, 3) directions and the rows' new read positions."""
+    z = noise.take(traj_index, pos, 4)
+    angle = np.abs(0.0 + sigma_rad * z[:, 0])
+    axis = crosses(dirs, z[:, 1:])
+    n = norms(axis)
+    pos = pos + 4
+    todo = np.flatnonzero(n <= 1e-9)
+    while todo.size:  # redraw the raw axis of these rows
+        axis[todo] = crosses(dirs[todo], noise.take(traj_index[todo], pos[todo], 3))
+        n[todo] = norms(axis[todo])
+        pos[todo] += 3
+        todo = todo[n[todo] <= 1e-9]
+    axis /= n[:, None]
+    return dirs * np.cos(angle)[:, None] + crosses(axis, dirs) * np.sin(angle)[:, None], pos
+
+
+def _padded(arrays, length):
+    """(J, length, 3) array of J (n_j, 3) arrays, zero past each one's end."""
+    out = np.zeros((len(arrays), length, 3))
+    for j, a in enumerate(arrays):
+        out[j, : len(a)] = a
+    return out
+
+
+def lockstep(controllers, trajs, config: RolloutConfig) -> list[RolloutResult]:
+    """Closed-loop rollouts of every controller over every trajectory, all
+    advanced together one sample at a time; deterministic for a seed.
+
+    Row ``c * len(trajs) + j`` is controller c on trajectory j, and the
+    results come in that (controller-major) order. Each row gets the bits
+    of a rollout on its own: focal points, head data and the noise stream
+    are per trajectory, every controller steps all of its due rows in one
+    ``step_rows`` call, and each row's step is masked by its length and its
+    tick divisor.
+    """
+    n_traj = len(trajs)
+    traj_of = np.tile(np.arange(n_traj), len(controllers))
+    every = np.array([_tick_divisor(c, traj) for c in controllers for traj in trajs])
+    lengths = [len(traj.samples) for traj in trajs]
+    if config.duration_cap_s is not None:
+        cap = config.duration_cap_s
+        lengths = [min(n, int(cap * traj.rate_hz)) for n, traj in zip(lengths, trajs)]
+    if min(lengths) < 1:
+        raise ValueError(f"a duration cap of {config.duration_cap_s:g} s keeps no sample")
+    t_max = max(lengths)
+    focal = _padded([precompute_focal_points(traj)[:n] for traj, n in zip(trajs, lengths)], t_max)
+    runs = [traj.samples[:n] for traj, n in zip(trajs, lengths)]
+    head_pos = _padded([[s.head_pos for s in run] for run in runs], t_max)
+    head_dir = _padded([[s.head_dir for s in run] for run in runs], t_max)
+    sigma = math.radians(config.noise_sigma_deg)
+    noise = None
+    if sigma > 0.0:  # 8 values per step: each eye's angle and axis, unless redrawn
+        noise = _Noise([_rollout_rng(config, traj) for traj in trajs], [8 * (n - 1) for n in lengths])
+    step_dt = np.array([(1.0 / trajs[j].rate_hz) * e for j, e in zip(traj_of, every.tolist())])
+    last = np.array(lengths)[traj_of] - 1  # a row steps at t < last
+
+    for controller in controllers:
+        controller.reset_rows(n_traj)
+    start = [dir_to_pitch_yaw(traj.samples[0].head_dir) for traj in trajs]
+    pitch = np.array([start[j][0] for j in traj_of])
+    yaw = np.array([start[j][1] for j in traj_of])
+    eyes = [np.array([[-config.eye_offset, 0.0, 0.0]]), np.array([[config.eye_offset, 0.0, 0.0]])]
+    bounds = np.arange(len(controllers) + 1) * n_traj
+    pos = np.zeros(len(traj_of), dtype=int)
+    faulted = np.zeros(len(traj_of), dtype=bool)
+    imputed = np.empty((len(traj_of), t_max, 3))
+    errors = np.empty((len(traj_of), t_max))
+    for t in range(t_max):
+        sp, cp, sy, cy = np.sin(pitch), np.cos(pitch), np.sin(yaw), np.cos(yaw)
+        forward = np.stack([cp * sy, sp, cp * cy], axis=1)  # pitch_yaw_to_dir
+        imputed[:, t] = forward
+        diff = forward - head_dir[traj_of, t]
+        errors[:, t] = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
+        due = np.flatnonzero((t < last) & (t % every == 0))
+        command = np.zeros((len(traj_of), 2))
+        if due.size:
+            sp, cp, sy, cy = sp[due], cp[due], sy[due], cy[due]
+            rot = np.stack(  # head_rotation
+                [cy, -sy * sp, sy * cp, np.zeros_like(cp), cp, sp, -sy, -cy * sp, cy * cp], axis=1
+            ).reshape(-1, 3, 3)
+            due_traj = traj_of[due]
+            gaze = []
+            for eye in eyes:
+                local = np.repeat(eye, len(due), axis=0)
+                origin = head_pos[due_traj, t] + (rot @ local[:, :, None])[:, :, 0]
+                d = focal[due_traj, t] - origin
+                gaze.append(d / norms(d)[:, None])
+            if noise is not None:
+                gaze[0], p = _perturb_rows(gaze[0], sigma, noise, due_traj, pos[due])
+                gaze[1], pos[due] = _perturb_rows(gaze[1], sigma, noise, due_traj, p)
+            head_frame = rot.transpose(0, 2, 1)
+            x = np.concatenate(
+                [(head_frame @ g[:, :, None])[:, :, 0] for g in gaze] + [forward[due]], axis=1
+            )
+            cuts = np.searchsorted(due, bounds)
+            for c, controller in enumerate(controllers):
+                lo, hi = cuts[c], cuts[c + 1]
+                if lo < hi:
+                    rows = due[lo:hi]
+                    out, faults = controller.step_rows(x[lo:hi], step_dt[rows], rows - bounds[c])
+                    command[rows] = out
+                    faulted[rows] |= faults
+        # every row adds its command, 0.0 when it does not step, as rotate_head does
+        pitch = np.clip(pitch + command[:, 0], -PITCH_LIMIT, PITCH_LIMIT)
+        yaw = yaw + command[:, 1]
+
+    results = []
+    for b, j in enumerate(traj_of.tolist()):
+        n = lengths[j]
+        results.append(RolloutResult(
+            imputed=imputed[b, :n],
+            step_errors=errors[b, :n],
+            mse=float(np.mean(errors[b, :n])),
+            task=trajs[j].task.value,
+            faulted=bool(faulted[b]),
+        ))
+    return results
+
+
+def rollout(controller: Controller, traj: Trajectory, config: RolloutConfig) -> RolloutResult:
+    """Closed-loop simulation of one trial: lockstep on one row."""
+    return lockstep([controller], [traj], config)[0]
 
 
 @dataclass
@@ -195,33 +298,41 @@ class EvalTable:
         }
 
 
-def _evaluate_row(job) -> EvalRow:
-    name, controller, traj, config, index = job
-    result = rollout(controller, traj, config)
-    label = f"p{traj.participant_id:03d}-{traj.task.value}-{index:02d}"
-    return EvalRow(name, result.task, label, result.mse, len(result.step_errors),
-                   result.faulted, result.step_errors)
+def _evaluate_shard(job):
+    """Rows of every controller over a run of trajectories, one list per
+    controller; ``first`` is the index of the run's first trajectory."""
+    controllers, trajs, config, first = job
+    results = lockstep(list(controllers.values()), trajs, config)
+    rows = []
+    for c, name in enumerate(controllers):
+        rows.append([])
+        for j, traj in enumerate(trajs):
+            result = results[c * len(trajs) + j]
+            label = f"p{traj.participant_id:03d}-{traj.task.value}-{first + j:02d}"
+            rows[c].append(EvalRow(name, result.task, label, result.mse, len(result.step_errors),
+                                   result.faulted, result.step_errors))
+    return rows
 
 
 def evaluate_suite(controllers, trajs, config: RolloutConfig, jobs=1) -> EvalTable:
-    """Roll every controller over every trajectory, controller-major.
+    """Roll every controller over every trajectory in lockstep; rows come
+    controller-major.
 
     ``controllers`` maps name -> Controller. Controller state is reset per
-    rollout; the noise stream depends only on (seed, trajectory), not on
-    the controller order, so ``jobs`` worker processes give the same rows
+    call; the noise stream depends only on (seed, trajectory), not on the
+    controller order or on which rows share a call, so ``jobs`` worker
+    processes, each given a shard of the trajectories, give the same rows
     as one.
     """
     if not controllers or not trajs:
         raise ValueError("need at least one controller and one trajectory")
-    work = [
-        (name, controller, traj, config, index)
-        for name, controller in controllers.items()
-        for index, traj in enumerate(trajs)
-    ]
-    if jobs > 1:
+    size = -(-len(trajs) // max(1, jobs))
+    shards = [(controllers, trajs[i : i + size], config, i) for i in range(0, len(trajs), size)]
+    if len(shards) > 1:
         # spawned, not forked: numpy's BLAS threads may already be running
-        with ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("spawn")) as pool:
-            rows = list(pool.map(_evaluate_row, work))
+        with ProcessPoolExecutor(len(shards), mp_context=multiprocessing.get_context("spawn")) as pool:
+            parts = list(pool.map(_evaluate_shard, shards))
     else:
-        rows = [_evaluate_row(job) for job in work]
+        parts = [_evaluate_shard(shards[0])]
+    rows = [row for c in range(len(controllers)) for part in parts for row in part[c]]
     return EvalTable(rows=rows, noise_sigma_deg=config.noise_sigma_deg, seed=config.seed)

@@ -97,14 +97,16 @@ def perturb_np(direction, sigma_rad, rng):
     return direction * math.cos(angle) + np.cross(axis, direction) * math.sin(angle)
 
 
-def rollout_loop(controller, traj, noise_sigma_deg, seed, every, n=None, eye_offset=0.03):
+def rollout_loop(controller, traj, noise_sigma_deg, seed, every, n=None, eye_offset=0.03, rng=None):
     """Closed-loop rollout step by step; returns (imputed, step_errors).
 
     The controller steps every ``every`` samples with that many sample
-    periods as dt; ``n`` caps the number of steps.
+    periods as dt; ``n`` caps the number of steps. ``rng`` replaces the
+    seeded noise generator.
     """
     focal = focal_points_loop(traj)
-    rng = np.random.default_rng([seed, traj.participant_id, TASK_ORDER.index(traj.task)])
+    if rng is None:
+        rng = np.random.default_rng([seed, traj.participant_id, TASK_ORDER.index(traj.task)])
     sigma = math.radians(noise_sigma_deg)
     dt = 1.0 / traj.rate_hz
     n = len(traj.samples) if n is None else n

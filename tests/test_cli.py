@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 import gazehead
-from gazehead.cli import main
+from gazehead.cli import _load_dir, main
+from gazehead.controllers import load_controller
+from gazehead.rollout import RolloutConfig, evaluate_suite
 
 
 def run_cli(*argv):
@@ -160,6 +162,41 @@ def test_evaluate_jobs_matches_serial(pipeline, tmp_path):
     parallel = json.loads(out.read_text())
     for name in ("quadrant", "vector"):
         assert parallel["aggregate"][name] == serial["aggregate"][name]
+
+
+def test_evaluate_jobs_output_is_byte_identical_to_serial(pipeline, tmp_path):
+    # --jobs only shards the trajectories: the table and CSV keep every byte
+    ctrls = [pipeline / f"{n}.json" for n in ("quadrant", "vector", "mlp", "lstm")]
+    assert run_cli("evaluate", "--controllers", *ctrls, "--data", pipeline / "data", "--seed", "11",
+                   "--jobs", "2", "--out", tmp_path / "table.json", "--csv", tmp_path / "table.csv") == 0
+    assert (tmp_path / "table.json").read_bytes() == (pipeline / "table.json").read_bytes()
+    assert (tmp_path / "table.csv").read_bytes() == (pipeline / "table.csv").read_bytes()
+
+
+def test_rollout_steps_csv_repeats_byte_for_byte(pipeline, tmp_path):
+    runs = []
+    for run in ("a", "b"):
+        assert run_cli("rollout", "--controller", pipeline / "lstm.json", "--data", pipeline / "data",
+                       "--seed", "11", "--duration-cap", "5", "--out", tmp_path / f"{run}.json",
+                       "--steps-csv", tmp_path / f"{run}.csv") == 0
+        runs.append([(tmp_path / f"{run}.{ext}").read_bytes() for ext in ("json", "csv")])
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("sigma", [0.5, 2.0])
+def test_evaluate_step_errors_are_bounded_and_average_to_the_row_mse(pipeline, sigma):
+    controllers = {}
+    for name in ("quadrant", "vector", "mlp", "lstm"):
+        controller = load_controller(pipeline / f"{name}.json")
+        controllers[controller.name] = controller
+    trajs = _load_dir(str(pipeline / "data"))
+    table = evaluate_suite(controllers, trajs, RolloutConfig(noise_sigma_deg=sigma, seed=11))
+    assert len(table.rows) == 4 * len(trajs)
+    for row in table.rows:
+        errors = row.step_errors
+        assert np.all(np.isfinite(errors)) and errors.min() >= 0.0 and errors.max() <= 4.0
+        assert len(errors) == row.steps
+        assert float(np.mean(errors)) == row.mse
 
 
 def test_rollout_matches_evaluate(pipeline, tmp_path):

@@ -213,6 +213,26 @@ def test_lstm_controller_delegates_and_is_stateful():
     assert again == ab  # fresh state makes runs reproducible
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_lstm_step_rows_equal_step_per_row_and_latch_faults():
+    # row 0 faults at its second step; from then on its state stays put,
+    # as a one-row controller's does once ``faulted`` is set
+    net = LstmNet(9, 4, seed=3)
+    batched = LstmController(net)
+    batched.reset_rows(3)
+    single = [LstmController(net) for _ in range(3)]
+    xs = np.random.default_rng(5).normal(size=(4, 3, 9))
+    xs[1, 0, 0] = np.nan
+    for step in range(4):
+        out, faults = batched.step_rows(xs[step], np.full(3, 1 / 45), np.arange(3))
+        for r, ctrl in enumerate(single):
+            expect = ctrl.step(xs[step, r, 0:3], xs[step, r, 3:6], xs[step, r, 6:9], 1 / 45)
+            assert tuple(out[r]) == expect
+            assert faults[r] == (step == 1 and r == 0)
+            assert batched.row_state.hidden[r].tobytes() == ctrl.state.hidden.tobytes()
+    assert batched.faulted and batched.row_faulted.tolist() == [True, False, False]
+
+
 def test_controller_config_roundtrip(tmp_path):
     specs = [
         QuadrantController(QuadrantParams(12.0, 25.0), name="quad"),

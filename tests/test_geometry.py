@@ -9,6 +9,7 @@ from gazehead.geometry import (
     HeadOrientation,
     Ray,
     cross,
+    crosses,
     dir_to_pitch_yaw,
     focal_point,
     head_rotation,
@@ -100,6 +101,8 @@ vectors = st.lists(
 @given(vectors, vectors)
 def test_cross_is_np_cross_bitwise(a, b):
     assert cross(a, b).tobytes() == np.cross(a, b).tobytes()
+    rows, others = np.stack([a, b, a]), np.stack([b, a, a])
+    assert crosses(rows, others).tobytes() == np.cross(rows, others).tobytes()
 
 
 @given(vectors)

@@ -1,7 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gazehead.controllers import (
     Controller,
@@ -13,11 +16,13 @@ from gazehead.controllers import (
     VectorParams,
 )
 from gazehead.dataset import GazeSample, Task, TaskConfig, Trajectory, generate_task
-from gazehead.geometry import focal_points, normalize, vec3
+from gazehead import rollout as rollout_module
+from gazehead.geometry import dir_to_pitch_yaw, focal_points, head_rotation, normalize, vec3
 from gazehead.rollout import (
     EvalTable,
     RolloutConfig,
     evaluate_suite,
+    lockstep,
     precompute_focal_points,
     rollout,
 )
@@ -190,6 +195,13 @@ def test_duration_cap():
     assert len(result.step_errors) == 90
 
 
+def test_duration_cap_below_one_sample_is_an_error():
+    _, oracle = generate_task(Task.LINEAR_PURSUIT, TaskConfig(duration=1.0), seed=4)
+    config = RolloutConfig(noise_sigma_deg=0.0, seed=0, duration_cap_s=0.005)
+    with pytest.raises(ValueError, match="keeps no sample"):
+        rollout(ZeroController(), oracle, config)
+
+
 def test_evaluate_suite_single_matches_rollout():
     _, oracle = generate_task(Task.ARC_PURSUIT, TaskConfig(duration=1.0), seed=6)
     table = evaluate_suite({"quadrant": QuadrantController()}, [oracle], QUIET)
@@ -231,13 +243,13 @@ def test_lstm_rollout_ticks_at_its_trained_rate():
     controller, _ = fit(TrainConfig(family="lstm", hidden=(2,), epochs=1, lstm_downsample=3), [traj])
     assert controller.train_rate_hz == 30.0
     dts = []
-    inner = controller.step
+    inner = controller.step_rows
 
-    def recording(left_dir, right_dir, head_dir, dt):
-        dts.append(dt)
-        return inner(left_dir, right_dir, head_dir, dt)
+    def recording(x, dt, rows):
+        dts.extend(dt.tolist())
+        return inner(x, dt, rows)
 
-    controller.step = recording
+    controller.step_rows = recording
     result = rollout(controller, traj, QUIET)
     n = len(traj.samples)
     assert dts == [(1.0 / traj.rate_hz) * 3] * len(range(0, n - 1, 3))
@@ -298,6 +310,133 @@ def test_rollout_matches_step_loop_oracle_bitwise(sigma):
         assert len(errors) == 135
         assert result.imputed.tobytes() == imputed.tobytes(), controller.name
         assert result.step_errors.tobytes() == errors.tobytes(), controller.name
+
+
+def truncated(traj, n):
+    return Trajectory(traj.participant_id, traj.task, traj.rate_hz, traj.samples[:n])
+
+
+@functools.cache
+def property_pool():
+    """Trajectories of unequal length, task, participant and rate; the
+    first has parallel gaze at sample 40."""
+    pool = [degenerate_interior_traj()]
+    for pid, (task, rate) in enumerate(
+        [(Task.LINEAR_PURSUIT, 90.0), (Task.RAPID_SEARCH, 90.0), (Task.RAPID_AVOIDANCE, 45.0)]
+    ):
+        _, traj = generate_task(task, TaskConfig(duration=1.4, rate_hz=rate), seed=30 + pid)
+        traj.participant_id = 5 + pid
+        pool.append(traj)
+    return pool
+
+
+def mixed_controller(kind, seed):
+    axis = VectorAxisParams(v=2.0, a=0.5, b=8.0, c=0.0)
+    if kind == "quadrant":
+        return QuadrantController()
+    if kind == "vector":
+        return VectorController(VectorParams(axis, axis))
+    if kind == "mlp":
+        return MlpController(DenseNet([9, 8, 2], seed=seed))
+    if kind == "lstm":  # 9 inputs, every second 90 Hz sample
+        return LstmController(LstmNet(9, 3, seed=seed), train_rate_hz=45.0)
+    return LstmController(LstmNet(6, 2, seed=seed), train_rate_hz=45.0)
+
+
+def oracle_rows(controllers, trajs, sigma, seed, cap):
+    """rollout_loop of every (controller, trajectory) row, controller-major."""
+    rows = []
+    for controller in controllers:
+        for traj in trajs:
+            every = round(traj.rate_hz / controller.train_rate_hz) if controller.stateful else 1
+            n = len(traj) if cap is None else min(len(traj), int(cap * traj.rate_hz))
+            rows.append(rollout_loop(controller, traj, sigma, seed, every, n=n))
+    return rows
+
+
+def assert_rows_equal(results, oracle):
+    assert len(results) == len(oracle)
+    for result, (imputed, errors) in zip(results, oracle):
+        assert result.imputed.tobytes() == imputed.tobytes()
+        assert result.step_errors.tobytes() == errors.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_lockstep_matches_step_loop_oracle_bitwise(data):
+    pool = property_pool()
+    kinds = data.draw(st.lists(st.sampled_from(["quadrant", "vector", "mlp", "lstm", "lstm6"]),
+                               min_size=1, max_size=5))
+    trajs = [truncated(pool[0], data.draw(st.integers(42, len(pool[0]))))]
+    for index in data.draw(st.lists(st.integers(1, len(pool) - 1), max_size=3)):
+        trajs.append(truncated(pool[index], data.draw(st.integers(1, len(pool[index])))))
+    order = data.draw(st.permutations(range(len(trajs))))
+    trajs = [trajs[i] for i in order]
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(trajs) - 1), max_size=len(trajs) - 1))
+                  if len(trajs) > 1 else [])
+    cap = data.draw(st.one_of(st.none(), st.floats(0.05, 1.5)))
+    sigma = data.draw(st.sampled_from([0.0, 0.5, 2.0]))
+    seed = data.draw(st.integers(0, 2**16))
+    controllers = [mixed_controller(kind, seed=k) for k, kind in enumerate(kinds)]
+    config = RolloutConfig(noise_sigma_deg=sigma, seed=seed, duration_cap_s=cap)
+    for lo, hi in zip([0, *cuts], [*cuts, len(trajs)]):
+        results = lockstep(controllers, trajs[lo:hi], config)
+        assert_rows_equal(results, oracle_rows(controllers, trajs[lo:hi], sigma, seed, cap))
+
+
+class ScriptedRng:
+    """Serves normal(loc, scale), normal(size=3) and standard_normal(n)
+    from one fixed stream of standard normals."""
+
+    def __init__(self, values):
+        self.values = values
+        self.used = 0
+
+    def _next(self, count):
+        out = self.values[self.used : self.used + count]
+        assert len(out) == count, "scripted stream ran out"
+        self.used += count
+        return out
+
+    def standard_normal(self, size):
+        return self._next(size).copy()
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        if size is None:
+            return loc + scale * float(self._next(1)[0])
+        return loc + scale * self._next(size)
+
+
+def test_parallel_axis_draw_is_redrawn_and_the_right_eye_reads_after_it(monkeypatch):
+    traj = truncated(degenerate_interior_traj(), 12)
+    sigma = 0.5
+    # the left eye's direction at the first step, as rollout_loop aims it
+    pitch, yaw = dir_to_pitch_yaw(traj.samples[0].head_dir)
+    origin = traj.samples[0].head_pos + head_rotation(pitch, yaw) @ np.array([-0.03, 0.0, 0.0])
+    left = focal_points_loop(traj)[0] - origin
+    left = left / np.linalg.norm(left)
+    values = np.random.default_rng(8).standard_normal(400)
+    values[1:4] = left  # the first raw axis draw is parallel to the left eye: rejected
+    monkeypatch.setattr(rollout_module, "_rollout_rng", lambda config, traj: ScriptedRng(values))
+    reads = []
+    take = rollout_module._Noise.take
+
+    def recording(self, traj_index, pos, width):
+        reads.append((pos.tolist(), width))
+        return take(self, traj_index, pos, width)
+
+    monkeypatch.setattr(rollout_module._Noise, "take", recording)
+    controllers = [controller for controller, _ in parity_controllers()]
+    results = lockstep(controllers, [traj], RolloutConfig(noise_sigma_deg=sigma, seed=0))
+    # first step: left angle and raw axis at 0-3, the redraw at 4-6, then
+    # the right eye from 7 on; the LSTM row steps too, so every row reads
+    rows = len(controllers)
+    assert reads[:3] == [([0] * rows, 4), ([4] * rows, 3), ([7] * rows, 4)]
+    oracle = [
+        rollout_loop(controller, traj, sigma, 0, every, rng=ScriptedRng(values))
+        for controller, every in parity_controllers()
+    ]
+    assert_rows_equal(results, oracle)
 
 
 def test_batched_focal_points_match_scalar_oracle_bitwise():

@@ -1,0 +1,151 @@
+#!/usr/bin/env python3
+"""Bit parity of every CLI artifact between two git revisions.
+
+    python3 tools/parity.py PARENT_REV [CHANGE_REV]     # CHANGE_REV defaults to HEAD
+
+Checks both revisions out with ``git worktree`` under a temporary
+directory, runs the same pipeline with ``python -m gazehead`` from each
+tree's ``src/`` (BLAS pinned to one thread), and compares the two output
+trees byte for byte:
+
+- ``generate`` 6 participants, all tasks, 6 s trials;
+- ``train`` vector, mlp 8, lstm H2, lstm H3 with 6 inputs and quadrant,
+  each with a report and a checkpoint;
+- ``rollout`` of all five with ``--steps-csv`` and ``--duration-cap``;
+- ``evaluate`` of all five, serial and with ``--jobs 2``, with ``--csv``,
+  and once with ``--noise 0``;
+- ``report`` of the evaluate tables;
+- ``exosim`` of quadrant, lstm and mlp.
+
+Only ``wall_time_s`` in the train reports, a clock reading, is masked. The
+first differing file and its first differing number are printed, and the
+exit status is 1 on any difference, 0 when every file matches.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+CONTROLLERS = ("vector", "mlp", "lstm", "lstm6", "quadrant")
+TRAIN = {
+    "vector": ["--family", "vector", "--vector-iterations", "600"],
+    "mlp": ["--family", "mlp", "--hidden", "8", "--epochs", "20", "--lr", "0.01"],
+    "lstm": ["--family", "lstm", "--hidden", "2", "--epochs", "4", "--lr", "0.01"],
+    "lstm6": ["--family", "lstm", "--hidden", "3", "--epochs", "4", "--lr", "0.01", "--lstm-input", "6"],
+    "quadrant": ["--family", "quadrant"],
+}
+CONFIGS = [f"{name}.json" for name in CONTROLLERS]
+
+
+def pipeline():
+    """The CLI commands, in order; paths are relative to the output tree."""
+    steps = [["generate", "--task", "all", "--participants", "6", "--seed", "1",
+              "--duration", "6", "--out", "data"]]
+    for name in CONTROLLERS:
+        steps.append(["train", *TRAIN[name], "--data", "data", "--seed", "0", "--name", name,
+                      "--out", f"{name}.json", "--report", f"{name}.report.json"])
+    for name in CONTROLLERS:
+        steps.append(["rollout", "--controller", f"{name}.json", "--data", "data", "--seed", "3",
+                      "--duration-cap", "4", "--out", f"rollout-{name}.json",
+                      "--steps-csv", f"rollout-{name}.steps.csv"])
+    steps += [
+        ["evaluate", "--controllers", *CONFIGS, "--data", "data", "--seed", "3",
+         "--out", "table.json", "--csv", "table.csv"],
+        ["evaluate", "--controllers", *CONFIGS, "--data", "data", "--seed", "3", "--jobs", "2",
+         "--out", "table-jobs2.json", "--csv", "table-jobs2.csv"],
+        ["evaluate", "--controllers", *CONFIGS, "--data", "data", "--seed", "5", "--noise", "0",
+         "--out", "table-quiet.json", "--csv", "table-quiet.csv"],
+        ["report", "--results", "table.json", "table-jobs2.json", "table-quiet.json",
+         "--out", "report"],
+    ]
+    for name in ("quadrant", "lstm", "mlp"):
+        steps.append(["exosim", "--controller", f"{name}.json", "--ticks", "300", "--seed", "2",
+                      "--out", f"exosim-{name}.csv"])
+    return steps
+
+
+def run_pipeline(tree: Path, out: Path):
+    out.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    for argv in pipeline():
+        proc = subprocess.run([sys.executable, "-m", "gazehead", *argv], cwd=out, env=env,
+                              capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise SystemExit(f"{tree.name}: gazehead {' '.join(argv)} failed:\n{proc.stderr}")
+
+
+_WALL_TIME = re.compile(rb'"wall_time_s": [^,\n}]+')
+_NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|NaN|-?Infinity|nan|-?inf")
+
+
+def _masked(path: Path) -> bytes:
+    data = path.read_bytes()
+    if path.name.endswith(".report.json"):
+        data = _WALL_TIME.sub(b'"wall_time_s": <masked>', data)
+    return data
+
+
+def _first_difference(a: bytes, b: bytes) -> str:
+    """The first differing number of two files, or their first differing
+    line when the numbers agree."""
+    for x, y in zip(_NUMBER.finditer(a), _NUMBER.finditer(b)):
+        if x.group() != y.group():
+            line = a.count(b"\n", 0, x.start()) + 1
+            return f"line {line}: {x.group().decode()} != {y.group().decode()}"
+    for line, (x, y) in enumerate(zip(a.splitlines(), b.splitlines()), start=1):
+        if x != y:
+            return f"line {line}: {x.decode(errors='replace')!r} != {y.decode(errors='replace')!r}"
+    return f"lengths differ: {len(a)} != {len(b)} bytes"
+
+
+def compare(parent: Path, change: Path) -> int:
+    """Print the first difference; returns the number of differing files."""
+    files = {p.relative_to(parent) for p in parent.rglob("*") if p.is_file()}
+    other = {p.relative_to(change) for p in change.rglob("*") if p.is_file()}
+    only = sorted(files ^ other)
+    if only:
+        print(f"only in one tree: {only[0]} ({len(only)} files)")
+    differ = [f for f in sorted(files & other) if _masked(parent / f) != _masked(change / f)]
+    if differ:
+        first = differ[0]
+        print(f"differs: {first}: {_first_difference(_masked(parent / first), _masked(change / first))}")
+    print(f"{len(files & other)} files compared, {len(differ)} differ, {len(only)} only in one tree")
+    return len(differ) + len(only)
+
+
+def git(*args, cwd=None):
+    return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True, text=True).stdout
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", help="git revision to compare against")
+    parser.add_argument("change", nargs="?", default="HEAD", help="git revision to check (default HEAD)")
+    args = parser.parse_args(argv)
+    root = Path(git("rev-parse", "--show-toplevel", cwd=Path(__file__).resolve().parent).strip())
+    with tempfile.TemporaryDirectory(prefix="gazehead-parity-") as tmp:
+        tmp = Path(tmp)
+        trees = {"parent": (args.parent, tmp / "parent"), "change": (args.change, tmp / "change")}
+        try:
+            for rev, tree in trees.values():
+                git("worktree", "add", "--detach", str(tree), rev, cwd=root)
+            for side, (rev, tree) in trees.items():
+                print(f"{side}: {git('rev-parse', '--short', rev, cwd=root).strip()}", flush=True)
+                run_pipeline(tree, tmp / f"out-{side}")
+        finally:
+            for _, tree in trees.values():
+                if tree.exists():
+                    git("worktree", "remove", "--force", str(tree), cwd=root)
+            git("worktree", "prune", cwd=root)
+        return 1 if compare(tmp / "out-parent", tmp / "out-change") else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
