@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -109,27 +109,12 @@ def quadrant_step(params: QuadrantParams, gaze_pitch: float, gaze_yaw: float, dt
     return 0.0, math.copysign(step, gaze_yaw)
 
 
-def combined_gaze_angles(left_dir, right_dir):
-    """Head-relative (pitch, yaw) in degrees of the mean gaze direction."""
-    pitch, yaw = dir_to_pitch_yaw(normalize(left_dir + right_dir))
-    return math.degrees(pitch), math.degrees(yaw)
-
-
 def _unit_rows(rows):
     """normalize on every row of an (N, 3) array, bit for bit."""
     n = norms(rows)
     if np.any(n < 1e-9):
         raise ValueError("cannot normalize a near-zero vector")
     return rows / n[:, None]
-
-
-def _combined_angle_rows(x):
-    """combined_gaze_angles of every row of (K, 9) inputs, bit for bit:
-    the normalization is batched, the angles use ``math`` row by row
-    (numpy's arcsin and arctan2 round differently)."""
-    for d in _unit_rows(x[:, 0:3] + x[:, 3:6]).tolist():
-        pitch, yaw = dir_to_pitch_yaw(d)
-        yield math.degrees(pitch), math.degrees(yaw)
 
 
 def combined_inputs(x):
@@ -204,15 +189,6 @@ class Controller:
             return 0.0, 0.0
         return dpitch, dyaw
 
-    def _law_rows(self, x, dt, law):
-        """step_rows of an angle-level law(gaze_pitch, gaze_yaw, dt) in
-        degrees, converted to radians row by row."""
-        out = np.empty((len(x), 2))
-        for k, ((gp, gy), row_dt) in enumerate(zip(_combined_angle_rows(x), dt.tolist())):
-            dp, dy = law(gp, gy, row_dt)
-            out[k] = math.radians(dp), math.radians(dy)
-        return out, self._guard_rows(out)
-
     def _guard_rows(self, out):
         """_guard on every row of (K, 2) commands, in place; returns the
         (K,) fault mask."""
@@ -223,49 +199,56 @@ class Controller:
         return faults
 
 
-class QuadrantController(Controller):
-    family = "quadrant"
+class _LawController(Controller):
+    """A hand-designed family: its angle-level ``law(params, gaze_pitch,
+    gaze_yaw, dt)``, in degrees, applied to the combined gaze.
 
-    def __init__(self, params: QuadrantParams | None = None, name=None):
-        super().__init__(name)
-        self.params = params or QuadrantParams()
+    step, step_rows and predict each keep their own arithmetic, so each
+    keeps its bits: step normalizes one row, step_rows normalizes all rows
+    at once, and predict takes numpy's ``gaze_angles`` (which round
+    differently from ``math``'s).
+    """
 
-    def step(self, left_dir, right_dir, head_dir, dt):
-        gp, gy = combined_gaze_angles(left_dir, right_dir)
-        dp, dy = quadrant_step(self.params, gp, gy, dt)
-        return self._guard(math.radians(dp), math.radians(dy))
+    law = None  # staticmethod(params, gaze_pitch, gaze_yaw, dt) -> degrees
 
-    def step_rows(self, x, dt, rows):
-        return self._law_rows(x, dt, lambda gp, gy, d: quadrant_step(self.params, gp, gy, d))
-
-    def predict(self, x, dt):
-        out = np.array([quadrant_step(self.params, p, y, dt) for p, y in gaze_angles(x)])
-        return np.radians(out)
-
-
-class VectorController(Controller):
-    family = "vector"
-
-    def __init__(self, params: VectorParams, name=None):
+    def __init__(self, params, name=None):
         super().__init__(name)
         self.params = params
 
+    def _command(self, unit, dt):
+        """The law's (dpitch, dyaw) in radians at a unit mean-gaze direction."""
+        pitch, yaw = dir_to_pitch_yaw(unit)
+        dp, dy = self.law(self.params, math.degrees(pitch), math.degrees(yaw), dt)
+        return math.radians(dp), math.radians(dy)
+
     def step(self, left_dir, right_dir, head_dir, dt):
-        gp, gy = combined_gaze_angles(left_dir, right_dir)
-        dp, dy = vector_step(self.params, gp, gy, dt)
-        return self._guard(math.radians(dp), math.radians(dy))
+        return self._guard(*self._command(normalize(left_dir + right_dir), dt))
 
     def step_rows(self, x, dt, rows):
-        return self._law_rows(x, dt, lambda gp, gy, d: vector_step(self.params, gp, gy, d))
+        out = np.empty((len(x), 2))
+        units = _unit_rows(x[:, 0:3] + x[:, 3:6]).tolist()
+        for k, (unit, row_dt) in enumerate(zip(units, dt.tolist())):
+            out[k] = self._command(unit, row_dt)
+        return out, self._guard_rows(out)
 
     def predict(self, x, dt):
-        angles = gaze_angles(x)
-        law = symmetric_control_law if self.params.symmetric else control_law
-        pred = np.empty_like(angles)
-        for i, (p, y) in enumerate(angles):
-            pred[i, 0] = law(self.params.pitch, p)
-            pred[i, 1] = law(self.params.yaw, y)
-        return np.radians(pred * dt)
+        law, params = self.law, self.params
+        return np.radians([law(params, p, y, dt) for p, y in gaze_angles(x).tolist()])
+
+
+class QuadrantController(_LawController):
+    family = "quadrant"
+    law = staticmethod(quadrant_step)
+    step = _LawController.step  # each family owns its step, to be traced on its own
+
+    def __init__(self, params: QuadrantParams | None = None, name=None):
+        super().__init__(params or QuadrantParams(), name)
+
+
+class VectorController(_LawController):
+    family = "vector"
+    law = staticmethod(vector_step)
+    step = _LawController.step
 
 
 class MlpController(Controller):
@@ -351,18 +334,13 @@ class LstmController(Controller):
     def predict(self, x, dt):
         if self.net.input_size == 6:
             x = combined_inputs(x)
-        self.reset()
         scale = dt * self.train_rate_hz
         pred = np.empty((x.shape[0], 2))
-        state = self.state
+        state = LstmState.zeros(self.net.hidden_size)
         for i in range(x.shape[0]):
             y, state = self.net.step(state, x[i])
             pred[i] = y * scale
         return pred
-
-
-def _axis_to_dict(p: VectorAxisParams):
-    return {"v": p.v, "a": p.a, "b": p.b, "c": p.c}
 
 
 def save_controller(controller: Controller, path, checkpoint_path=None, extra_config=None):
@@ -370,19 +348,9 @@ def save_controller(controller: Controller, path, checkpoint_path=None, extra_co
     checkpoint next to it (referenced by relative path)."""
     path = os.fspath(path)
     config = {"family": controller.family, "name": controller.name}
-    if controller.family == "quadrant":
+    if controller.family in ("quadrant", "vector"):
         config["tick_rate_hz"] = 90.0
-        config["params"] = {
-            "deadzone_diameter": controller.params.deadzone_diameter,
-            "speed": controller.params.speed,
-        }
-    elif controller.family == "vector":
-        config["tick_rate_hz"] = 90.0
-        config["params"] = {
-            "pitch": _axis_to_dict(controller.params.pitch),
-            "yaw": _axis_to_dict(controller.params.yaw),
-            "symmetric": controller.params.symmetric,
-        }
+        config["params"] = asdict(controller.params)
     elif controller.family in ("mlp", "lstm"):
         if checkpoint_path is None:
             checkpoint_path = os.path.splitext(path)[0] + ".ckpt.json"

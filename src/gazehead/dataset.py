@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .geometry import (
+    EYE_OFFSET,
     dir_to_pitch_yaw,
     head_rotation,
     interpolate_blink,
@@ -309,7 +310,6 @@ class TaskConfig:
     approach_speed: float = 1.0  # m/s, rapid-task cubes toward the subject
     reach_radius: float = 0.5  # m; also the cube edge length
     fixation_tolerance: float = 2.0  # deg, angular size of "on target"
-    eye_offset: float = 0.03  # m, half interpupillary distance
     head_lag_gain: float = 4.0  # 1/s, pursuit gain of the head oracle
     head_deadzone: float = 10.0  # deg, soft deadzone of the head oracle
     head_deadzone_sharpness: float = 0.5  # 1/deg
@@ -555,8 +555,8 @@ def generate_task(task: Task, config: TaskConfig, seed: int, participant_id: int
         positions[i] = target
         rot = head_rotation(pitch, yaw)
         head_dir = rot[:, 2].copy()
-        left_origin = head_pos + rot @ vec3(-config.eye_offset, 0.0, 0.0)
-        right_origin = head_pos + rot @ vec3(config.eye_offset, 0.0, 0.0)
+        left_origin = head_pos + rot @ vec3(-EYE_OFFSET, 0.0, 0.0)
+        right_origin = head_pos + rot @ vec3(EYE_OFFSET, 0.0, 0.0)
         samples.append(
             GazeSample(
                 t=float(times[i]),

@@ -22,6 +22,10 @@ PARALLEL_TOL = 1e-9
 # invertible.
 PITCH_LIMIT = math.radians(89.0)
 
+# Half the interpupillary distance (m): the eyes sit at (-/+EYE_OFFSET, 0, 0)
+# in the head frame, in the synthesized data and in a rollout alike.
+EYE_OFFSET = 0.03
+
 
 def vec3(x: float, y: float, z: float) -> Vec3:
     return np.array([x, y, z], dtype=float)

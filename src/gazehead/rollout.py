@@ -26,7 +26,7 @@ import numpy as np
 
 from .controllers import Controller
 from .dataset import TASK_ORDER, Trajectory
-from .geometry import PITCH_LIMIT, crosses, dir_to_pitch_yaw, focal_points, norms
+from .geometry import EYE_OFFSET, PITCH_LIMIT, crosses, dir_to_pitch_yaw, focal_points, norms
 
 
 @dataclass
@@ -34,7 +34,6 @@ class RolloutConfig:
     noise_sigma_deg: float = 0.5  # angular std of per-eye gaze perturbation
     seed: int = 0
     duration_cap_s: float | None = None
-    eye_offset: float = 0.03  # m, half interpupillary distance
 
     def __post_init__(self):
         if self.noise_sigma_deg < 0:
@@ -188,7 +187,7 @@ def lockstep(controllers, trajs, config: RolloutConfig) -> list[RolloutResult]:
     start = [dir_to_pitch_yaw(traj.samples[0].head_dir) for traj in trajs]
     pitch = np.array([start[j][0] for j in traj_of])
     yaw = np.array([start[j][1] for j in traj_of])
-    eyes = [np.array([[-config.eye_offset, 0.0, 0.0]]), np.array([[config.eye_offset, 0.0, 0.0]])]
+    eyes = [np.array([[-EYE_OFFSET, 0.0, 0.0]]), np.array([[EYE_OFFSET, 0.0, 0.0]])]
     bounds = np.arange(len(controllers) + 1) * n_traj
     pos = np.zeros(len(traj_of), dtype=int)
     faulted = np.zeros(len(traj_of), dtype=bool)

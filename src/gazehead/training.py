@@ -69,11 +69,6 @@ def net_inputs(traj: Trajectory):
     )
 
 
-def gaze_angle_inputs(traj: Trajectory):
-    """(T-1, 2) head-relative combined-gaze (pitch, yaw) in degrees."""
-    return gaze_angles(net_inputs(traj))
-
-
 class ZeroController(Controller):
     """Baseline that never moves the head."""
 
@@ -93,14 +88,6 @@ def predicted_deltas(controller: Controller, traj: Trajectory):
     so a prediction can never leak into the next input.
     """
     return controller.predict(net_inputs(traj), 1.0 / traj.rate_hz)
-
-
-def teacher_forced_loss(controller: Controller, traj: Trajectory) -> float:
-    """Teacher-forced MSE (radians^2) of a controller on one trajectory."""
-    if len(traj.samples) < 2:
-        raise ValueError("trajectory shorter than 2 samples")
-    pred = predicted_deltas(controller, traj)
-    return float(np.mean((pred - head_deltas(traj)) ** 2))
 
 
 def dataset_loss(controller: Controller, trajs) -> float:
@@ -271,7 +258,7 @@ def fit_vector_params(trajs, iterations=3000, learning_rate=0.05) -> VectorParam
     ds = []
     dt = 1.0 / _common_rate(trajs)
     for traj in trajs:
-        xs.append(gaze_angle_inputs(traj))
+        xs.append(gaze_angles(net_inputs(traj)))
         ds.append(head_deltas(traj))
     x = np.concatenate(xs)
     d = np.concatenate(ds)

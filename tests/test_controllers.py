@@ -214,6 +214,25 @@ def test_lstm_controller_delegates_and_is_stateful():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_lstm_predict_leaves_a_live_controller_alone():
+    # predict starts from its own zero state: the stepped state and the
+    # fault latch of the controller it is called on stay as they were
+    net = LstmNet(9, 4, seed=3)
+    live, control = LstmController(net), LstmController(net)
+    xs = np.random.default_rng(8).normal(size=(4, 9))
+    xs[3, 0] = np.nan
+    ticks = [[] for _ in range(2)]
+    for k, x in enumerate(xs):
+        for ctrl, out in zip((live, control), ticks):
+            out.append(ctrl.step(x[0:3], x[3:6], x[6:9], 1 / 45))
+        live.predict(xs[:3], 1 / 45)
+        assert live.faulted == control.faulted == (k == 3)
+        assert live.state.hidden.tobytes() == control.state.hidden.tobytes()
+        assert live.state.cell.tobytes() == control.state.cell.tobytes()
+    assert ticks[0] == ticks[1]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_lstm_step_rows_equal_step_per_row_and_latch_faults():
     # row 0 faults at its second step; from then on its state stays put,
     # as a one-row controller's does once ``faulted`` is set
@@ -254,3 +273,54 @@ def test_controller_config_roundtrip(tmp_path):
         assert loaded.family == ctrl.family
         assert loaded.name == ctrl.name
         assert loaded.step(left, right, head, 1 / 90) == ctrl.step(left, right, head, 1 / 90)
+
+
+GOLDEN_QUADRANT = """{
+  "family": "quadrant",
+  "name": "quadrant",
+  "tick_rate_hz": 90.0,
+  "params": {
+    "deadzone_diameter": 10.0,
+    "speed": 20.0
+  }
+}
+"""
+
+GOLDEN_VECTOR = """{
+  "family": "vector",
+  "name": "vector",
+  "tick_rate_hz": 90.0,
+  "params": {
+    "pitch": {
+      "v": 3.496618746323547,
+      "a": 0.49305541145759535,
+      "b": 10.00861969277404,
+      "c": 0.007463774885813525
+    },
+    "yaw": {
+      "v": 3.5285599371294816,
+      "a": 0.4774483084333128,
+      "b": 10.024040520378966,
+      "c": 0.11335228887252977
+    },
+    "symmetric": true
+  }
+}
+"""
+
+
+def test_saved_law_configs_match_golden_bytes(tmp_path):
+    # key order family, name, tick_rate_hz, params; pitch/yaw as v, a, b, c,
+    # then symmetric. The vector params are those of a fit_vector_params run
+    # (full-precision floats, so their repr is pinned too).
+    fitted = VectorParams(
+        VectorAxisParams(3.496618746323547, 0.49305541145759535, 10.00861969277404, 0.007463774885813525),
+        VectorAxisParams(3.5285599371294816, 0.4774483084333128, 10.024040520378966, 0.11335228887252977),
+    )
+    for ctrl, golden in (
+        (QuadrantController(), GOLDEN_QUADRANT),
+        (VectorController(fitted), GOLDEN_VECTOR),
+    ):
+        path = tmp_path / f"{ctrl.family}.json"
+        save_controller(ctrl, path)
+        assert path.read_bytes() == golden.encode()

@@ -22,11 +22,9 @@ from gazehead.training import (
     fit,
     fit_vector_axis,
     fit_vector_params,
-    gaze_angle_inputs,
     head_deltas,
     net_inputs,
     predicted_deltas,
-    teacher_forced_loss,
     zero_baseline_loss,
 )
 from oracles import rel_err
@@ -113,13 +111,13 @@ def test_perfect_model_scores_zero():
 
 
 def test_zero_model_on_static_head_is_zero():
-    assert teacher_forced_loss(ZeroController(), static_head_traj()) == 0.0
+    assert dataset_loss(ZeroController(), [static_head_traj()]) == 0.0
 
 
 def test_zero_model_constant_delta_closed_form():
     dpitch, dyaw = 2e-3, -1e-3
     traj = constant_delta_traj(dpitch, dyaw)
-    loss = teacher_forced_loss(ZeroController(), traj)
+    loss = dataset_loss(ZeroController(), [traj])
     expect = (dpitch**2 + dyaw**2) / 2.0
     assert abs(loss - expect) < 1e-12
 

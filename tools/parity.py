@@ -15,7 +15,7 @@ trees byte for byte:
 - ``evaluate`` of all five, serial and with ``--jobs 2``, with ``--csv``,
   and once with ``--noise 0``;
 - ``report`` of the evaluate tables;
-- ``exosim`` of quadrant, lstm and mlp.
+- ``exosim`` of every controller.
 
 Only ``wall_time_s`` in the train reports, a clock reading, is masked. The
 first differing file and its first differing number are printed, and the
@@ -64,7 +64,7 @@ def pipeline():
         ["report", "--results", "table.json", "table-jobs2.json", "table-quiet.json",
          "--out", "report"],
     ]
-    for name in ("quadrant", "lstm", "mlp"):
+    for name in CONTROLLERS:
         steps.append(["exosim", "--controller", f"{name}.json", "--ticks", "300", "--seed", "2",
                       "--out", f"exosim-{name}.csv"])
     return steps
