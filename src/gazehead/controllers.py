@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .geometry import dir_to_pitch_yaw, dirs_to_pitch_yaw, normalize, norms
+from .geometry import dir_to_pitch_yaw, dirs_to_pitch_yaw, normalize, normalize_rows
 from .nn import DenseNet, LstmNet, LstmState, dense_forward, load_checkpoint, save_checkpoint
 
 _EXP_MAX = 700.0  # exp() overflow guard; beyond this the law is exactly 0
@@ -107,14 +107,6 @@ def quadrant_step(params: QuadrantParams, gaze_pitch: float, gaze_yaw: float, dt
     if abs(gaze_pitch) > abs(gaze_yaw):
         return math.copysign(step, gaze_pitch), 0.0
     return 0.0, math.copysign(step, gaze_yaw)
-
-
-def _unit_rows(rows):
-    """normalize on every row of an (N, 3) array, bit for bit."""
-    n = norms(rows)
-    if np.any(n < 1e-9):
-        raise ValueError("cannot normalize a near-zero vector")
-    return rows / n[:, None]
 
 
 def combined_inputs(x):
@@ -226,7 +218,7 @@ class _LawController(Controller):
 
     def step_rows(self, x, dt, rows):
         out = np.empty((len(x), 2))
-        units = _unit_rows(x[:, 0:3] + x[:, 3:6]).tolist()
+        units = normalize_rows(x[:, 0:3] + x[:, 3:6]).tolist()
         for k, (unit, row_dt) in enumerate(zip(units, dt.tolist())):
             out[k] = self._command(unit, row_dt)
         return out, self._guard_rows(out)
@@ -320,7 +312,7 @@ class LstmController(Controller):
 
     def step_rows(self, x, dt, rows):
         if self.net.input_size == 6:
-            x = np.concatenate([_unit_rows(x[:, 0:3] + x[:, 3:6]), x[:, 6:9]], axis=1)
+            x = np.concatenate([normalize_rows(x[:, 0:3] + x[:, 3:6]), x[:, 6:9]], axis=1)
         state = self.row_state
         y, hidden, cell = self.net.step_rows(state.hidden[rows], state.cell[rows], x)
         out = y * (dt * self.train_rate_hz)[:, None]

@@ -28,7 +28,10 @@ from .geometry import (
     dir_to_pitch_yaw,
     head_rotation,
     interpolate_blink,
+    norm,
     normalize,
+    normalize_rows,
+    norms,
     pitch_yaw_to_dir,
     vec3,
 )
@@ -49,7 +52,9 @@ class GazeSample:
     """One timestamped binocular gaze + head pose record.
 
     Positions in meters, directions unit-norm in the world frame.
-    ``valid`` False marks a blink.
+    ``valid`` False marks a blink. In a generated or loaded trajectory each
+    array is a row view of a per-trajectory (T, 3) block, one block per
+    field.
     """
 
     t: float
@@ -116,13 +121,21 @@ def _reject_constant(token):
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
+# the six vector fields of GazeSample and their JSON keys, in file order
+_FIELDS = ("head_pos", "head_dir", "left_origin", "left_dir", "right_origin", "right_dir")
+_KEYS = ("head_pos", "head_dir", "lo", "ld", "ro", "rd")
+
+# a loaded direction this close to unit length counts as unit
+UNIT_TOLERANCE = 1e-6
+
+
 def _vec_list(v):
     return [float(v[0]), float(v[1]), float(v[2])]
 
 
 def save_trajectories(trajectories, path):
-    """Write trajectories as JSONL; floats keep 17-significant-digit
-    round-trip exactness via repr."""
+    """Write trajectories as JSONL; every float is written as its shortest
+    round-trip repr, so loading gives back the same bits."""
     if isinstance(trajectories, Trajectory):
         trajectories = [trajectories]
     with open(path, "w", encoding="utf-8") as f:
@@ -147,30 +160,81 @@ def save_trajectories(trajectories, path):
                 f.write(json.dumps(row) + "\n")
 
 
+def _malformed(exc, line_number):
+    return TrajectoryFormatError(f"malformed sample row ({exc})", line_number)
+
+
 def _parse_sample(row, line_number):
+    """One decoded sample row on its own; names what is wrong with it."""
     try:
         sample = GazeSample(
-            t=float(row["t"]),
-            head_pos=np.array(row["head_pos"], dtype=float),
-            head_dir=np.array(row["head_dir"], dtype=float),
-            left_origin=np.array(row["lo"], dtype=float),
-            left_dir=np.array(row["ld"], dtype=float),
-            right_origin=np.array(row["ro"], dtype=float),
-            right_dir=np.array(row["rd"], dtype=float),
+            float(row["t"]),
+            *(np.array(row[key], dtype=float) for key in _KEYS),
             valid=bool(row["valid"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TrajectoryFormatError(f"malformed sample row ({exc})", line_number) from exc
-    for name in ("head_pos", "head_dir", "left_origin", "left_dir", "right_origin", "right_dir"):
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise _malformed(exc, line_number) from exc
+    for name in _FIELDS:
         if getattr(sample, name).shape != (3,):
             raise TrajectoryFormatError(f"field {name} is not a 3-vector", line_number)
-    # blink detection on ingestion: an unflagged row still counts as a
-    # blink when its gaze directions have collapsed
-    if sample.valid and (
-        np.linalg.norm(sample.left_dir) < 0.5 or np.linalg.norm(sample.right_dir) < 0.5
-    ):
-        sample.valid = False
     return sample
+
+
+def _sample_columns(rows, line_numbers):
+    """The six (n, 3) vector columns and the (n,) valid flags of a
+    trajectory's decoded sample rows.
+
+    Raises TrajectoryFormatError for the first bad row: a malformed row, or
+    a direction that is not unit length (head_dir on every row, the gaze
+    only on valid rows). A valid row whose gaze has collapsed (norm below
+    0.5) is reclassified as a blink first.
+    """
+    n = len(rows)
+    error = None
+    try:
+        columns = [np.array([row[key] for row in rows], dtype=float) for key in _KEYS]
+        valid = np.array([bool(row["valid"]) for row in rows])
+        malformed = any(column.shape != (n, 3) for column in columns)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        malformed = True
+    if malformed:
+        # parse row by row up to the first malformed row; a direction
+        # error on an earlier row is still reported first
+        samples = []
+        for row, line_number in zip(rows, line_numbers):
+            try:
+                samples.append(_parse_sample(row, line_number))
+            except TrajectoryFormatError as exc:
+                error = exc
+                break
+        columns = [np.array([getattr(s, name) for s in samples]).reshape(-1, 3) for name in _FIELDS]
+        valid = np.array([s.valid for s in samples], dtype=bool)
+    # one row per sample: the lengths of head_dir, left_dir and right_dir
+    lengths = np.column_stack([norms(columns[1]), norms(columns[3]), norms(columns[5])])
+    valid &= ~np.any(lengths[:, 1:] < 0.5, axis=1)
+    off_unit = ~(np.abs(lengths - 1.0) <= UNIT_TOLERANCE)  # NaN counts as off
+    off_unit[:, 1:] &= valid[:, None]
+    bad = np.flatnonzero(off_unit.any(axis=1))
+    if len(bad):
+        i = bad[0]
+        k = int(np.argmax(off_unit[i]))
+        name = ("head_dir", "left_dir", "right_dir")[k]
+        raise TrajectoryFormatError(
+            f"field {name} is not unit length (norm {float(lengths[i, k])!r})", line_numbers[i]
+        )
+    if error is not None:
+        raise error
+    return columns, valid
+
+
+def _with_samples(header, rows, line_numbers, times):
+    """The header trajectory filled with its buffered sample rows."""
+    columns, valid = _sample_columns(rows, line_numbers)
+    header.samples = [
+        GazeSample(t, head_pos, head_dir, lo, ld, ro, rd, flag)
+        for t, head_pos, head_dir, lo, ld, ro, rd, flag in zip(times, *columns, valid.tolist())
+    ]
+    return header
 
 
 def load_trajectories(path):
@@ -178,7 +242,9 @@ def load_trajectories(path):
 
     Raises TrajectoryFormatError with the path and the offending line
     number for malformed rows, NaN or Infinity tokens, a rate_hz that is
-    not positive and finite, or non-monotonic timestamps.
+    not positive and finite, non-monotonic timestamps, or a head or (on a
+    valid row) gaze direction more than UNIT_TOLERANCE off unit length.
+    Rows whose gaze has collapsed load as blinks.
     """
     with open(path, encoding="utf-8") as f:
         try:
@@ -188,45 +254,69 @@ def load_trajectories(path):
 
 
 def _parse_lines(f):
-    """Trajectories of an open JSONL file; errors name the line only."""
+    """Trajectories of an open JSONL file; errors name the line only.
+
+    Lines are decoded one at a time, and timestamps are checked as they
+    come; a trajectory's sample rows are buffered and turned into arrays
+    together at the next header or at the end of the file. Before any
+    error is raised the buffered rows are checked as well, so the error
+    names the first bad line of the file.
+    """
     trajectories = []
     current = None
-    for line_number, line in enumerate(f, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            row = _DECODER.decode(line)
-        except json.JSONDecodeError as exc:
-            raise TrajectoryFormatError(f"invalid JSON ({exc.msg})", line_number) from exc
-        except ValueError as exc:  # from _reject_constant
-            raise TrajectoryFormatError(str(exc), line_number) from exc
-        if not isinstance(row, dict):
-            raise TrajectoryFormatError("expected a JSON object", line_number)
-        if "participant" in row:
-            if current is not None and current.samples:
-                trajectories.append(current)
+    rows, line_numbers, times = [], [], []
+    try:
+        for line_number, line in enumerate(f, start=1):
+            line = line.strip()
+            if not line:
+                continue
             try:
-                current = Trajectory(
-                    participant_id=int(row["participant"]),
-                    task=Task(row["task"]),
-                    rate_hz=float(row["rate_hz"]),
-                )
-            except (KeyError, ValueError) as exc:
-                raise TrajectoryFormatError(f"malformed header ({exc})", line_number) from exc
-            if not (math.isfinite(current.rate_hz) and current.rate_hz > 0):
-                raise TrajectoryFormatError(
-                    f"rate_hz must be positive and finite, got {current.rate_hz!r}", line_number
-                )
-            continue
-        if current is None:
-            raise TrajectoryFormatError("sample row before any header", line_number)
-        sample = _parse_sample(row, line_number)
-        if current.samples and sample.t <= current.samples[-1].t:
-            raise TrajectoryFormatError("non-monotonic timestamp", line_number)
-        current.samples.append(sample)
-    if current is not None and current.samples:
-        trajectories.append(current)
+                row = _DECODER.decode(line)
+            except json.JSONDecodeError as exc:
+                raise TrajectoryFormatError(f"invalid JSON ({exc.msg})", line_number) from exc
+            except ValueError as exc:  # from _reject_constant
+                raise TrajectoryFormatError(str(exc), line_number) from exc
+            if not isinstance(row, dict):
+                raise TrajectoryFormatError("expected a JSON object", line_number)
+            if "participant" in row:
+                if rows:
+                    pending = rows, line_numbers, times
+                    rows, line_numbers, times = [], [], []
+                    trajectories.append(_with_samples(current, *pending))
+                try:
+                    current = Trajectory(
+                        participant_id=int(row["participant"]),
+                        task=Task(row["task"]),
+                        rate_hz=float(row["rate_hz"]),
+                    )
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise TrajectoryFormatError(f"malformed header ({exc})", line_number) from exc
+                if not (math.isfinite(current.rate_hz) and current.rate_hz > 0):
+                    raise TrajectoryFormatError(
+                        f"rate_hz must be positive and finite, got {current.rate_hz!r}", line_number
+                    )
+                continue
+            if current is None:
+                raise TrajectoryFormatError("sample row before any header", line_number)
+            try:
+                t = float(row["t"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise _malformed(exc, line_number) from exc
+            # buffered before the timestamp check: a malformed field of
+            # this row is reported ahead of its timestamp
+            rows.append(row)
+            line_numbers.append(line_number)
+            if times and t <= times[-1]:
+                raise TrajectoryFormatError("non-monotonic timestamp", line_number)
+            times.append(t)
+        if rows:
+            pending = rows, line_numbers, times
+            rows = []
+            trajectories.append(_with_samples(current, *pending))
+    except TrajectoryFormatError:
+        if rows:
+            _sample_columns(rows, line_numbers)  # raises for an earlier bad row
+        raise
     return trajectories
 
 
@@ -398,7 +488,7 @@ class _LinearTargets:
     def advance(self, dt):
         remaining = self.config.linear_speed * dt
         while True:
-            gap = float(np.linalg.norm(self.waypoint - self.pos))
+            gap = norm(self.waypoint - self.pos)
             if gap > remaining:
                 self.pos = self.pos + (self.waypoint - self.pos) * (remaining / gap)
                 return self.pos
@@ -480,7 +570,7 @@ class _RapidTargets:
         return _sample_cone_point(self.rng, self.config.spawn_cone, self.config.spawn_distance)
 
     def _approach(self, p, dt):
-        dist = float(np.linalg.norm(p))
+        dist = norm(p)
         step = self.config.approach_speed * dt
         if dist - step <= self.config.reach_radius:
             return None  # reached the subject
@@ -542,42 +632,44 @@ def generate_task(task: Task, config: TaskConfig, seed: int, participant_id: int
     stepper = _make_stepper(task, rng, config)
     dt = 1.0 / config.rate_hz
     n = round(config.duration * config.rate_hz)
-    head_pos = vec3(0.0, 0.0, 0.0)
+    times = np.arange(n) * dt
+    # the target track never depends on the head, so it and the two motor
+    # noise draws of each frame come first, in the frame loop's rng order
+    positions = np.empty((n, 3))
+    draws = np.empty((n, 2))
+    target = stepper.pos
+    for i in range(n):
+        positions[i] = target
+        draws[i] = rng.normal(), rng.normal()
+        target = stepper.advance(dt)
+    head_pos = np.zeros((n, 3))
+    # the head pursues the gaze offset for the next frame, with a smooth
+    # motor-noise wander on top of the pursuit velocity; pitch and yaw feed
+    # back, so this runs frame by frame
+    unit = normalize_rows(positions - head_pos)
+    rots = np.empty((n, 3, 3))
     pitch, yaw = 0.0, 0.0
     rho = math.exp(-dt / config.motor_noise_tau)
     innovation = config.motor_noise_rms * math.sqrt(1.0 - rho * rho)
     noise_p, noise_y = 0.0, 0.0
-    times = np.arange(n) * dt
-    positions = np.empty((n, 3))
-    samples = []
-    target = stepper.pos
-    for i in range(n):
-        positions[i] = target
-        rot = head_rotation(pitch, yaw)
-        head_dir = rot[:, 2].copy()
-        left_origin = head_pos + rot @ vec3(-EYE_OFFSET, 0.0, 0.0)
-        right_origin = head_pos + rot @ vec3(EYE_OFFSET, 0.0, 0.0)
-        samples.append(
-            GazeSample(
-                t=float(times[i]),
-                head_pos=head_pos.copy(),
-                head_dir=head_dir,
-                left_origin=left_origin,
-                left_dir=normalize(target - left_origin),
-                right_origin=right_origin,
-                right_dir=normalize(target - right_origin),
-                valid=True,
-            )
-        )
-        # head pursues the gaze offset for the next frame, with a smooth
-        # motor-noise wander on top of the pursuit velocity
-        rel = rot.T @ normalize(target - head_pos)
-        off_pitch, off_yaw = dir_to_pitch_yaw(rel)
-        noise_p = rho * noise_p + innovation * rng.normal()
-        noise_y = rho * noise_y + innovation * rng.normal()
+    for i, (toward, (draw_p, draw_y)) in enumerate(zip(unit, draws.tolist())):
+        rot = rots[i] = head_rotation(pitch, yaw)
+        off_pitch, off_yaw = dir_to_pitch_yaw(rot.T @ toward)
+        noise_p = rho * noise_p + innovation * draw_p
+        noise_y = rho * noise_y + innovation * draw_y
         pitch += math.radians(_pursuit_rate(math.degrees(off_pitch), config) + noise_p) * dt
         yaw += math.radians(_pursuit_rate(math.degrees(off_yaw), config) + noise_y) * dt
-        target = stepper.advance(dt)
+    # eyes and gaze of every frame at once: a stacked matvec has the bits of
+    # each frame's rot @ v, and the head_pos add turns a -0.0 into 0.0
+    head_dir = rots[:, :, 2].copy()
+    eyes = []
+    for offset in (-EYE_OFFSET, EYE_OFFSET):
+        origin = head_pos + (rots @ vec3(offset, 0.0, 0.0)[:, None])[..., 0]
+        eyes += [origin, normalize_rows(positions - origin)]
+    samples = [
+        GazeSample(t, *vectors)
+        for t, *vectors in zip(times.tolist(), head_pos, head_dir, *eyes)
+    ]
     oracle = Trajectory(participant_id, task, config.rate_hz, samples)
     return TargetTrack(t=times, pos=positions), oracle
 

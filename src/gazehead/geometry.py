@@ -69,6 +69,14 @@ def normalize(v: Vec3) -> Vec3:
     return v / n
 
 
+def normalize_rows(rows: np.ndarray) -> np.ndarray:
+    """normalize on every row of an (N, 3) array, bit for bit."""
+    n = norms(rows)
+    if np.any(n < 1e-9):
+        raise ValueError("cannot normalize a near-zero vector")
+    return rows / n[:, None]
+
+
 @dataclass
 class Ray:
     """Half-line from an origin (meters) along a unit direction."""

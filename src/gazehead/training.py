@@ -69,18 +69,6 @@ def net_inputs(traj: Trajectory):
     )
 
 
-class ZeroController(Controller):
-    """Baseline that never moves the head."""
-
-    family = "zero"
-
-    def step(self, left_dir, right_dir, head_dir, dt):
-        return 0.0, 0.0
-
-    def predict(self, x, dt):
-        return np.zeros((x.shape[0], 2))
-
-
 def predicted_deltas(controller: Controller, traj: Trajectory):
     """(T-1, 2) teacher-forced per-step commands in radians.
 
@@ -103,8 +91,9 @@ def dataset_loss(controller: Controller, trajs) -> float:
 
 
 def zero_baseline_loss(trajs) -> float:
-    """dataset_loss of ZeroController without building its inputs: a zero
-    prediction leaves residual -d, and (-d)**2 == d**2 exactly."""
+    """dataset_loss of a controller that always predicts zero, without
+    building its inputs: a zero prediction leaves residual -d, and
+    (-d)**2 == d**2 exactly."""
     total = 0.0
     steps = 0
     for traj in trajs:

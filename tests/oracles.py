@@ -5,6 +5,8 @@ oracle is a grid search, the control-law oracle is 50-digit arithmetic,
 gradients are central finite differences. The rollout oracles are the
 plain per-sample form (np.cross, np.linalg.norm, one 3x3 solve per
 sample) that the package's faster rollout must match bit for bit.
+ZeroController, a baseline that never moves the head, lives here because
+only tests use it.
 """
 
 import math
@@ -12,8 +14,21 @@ import math
 import mpmath
 import numpy as np
 
+from gazehead.controllers import Controller
 from gazehead.dataset import TASK_ORDER
 from gazehead.geometry import HeadOrientation, rotate_head
+
+
+class ZeroController(Controller):
+    """Baseline that never moves the head."""
+
+    family = "zero"
+
+    def step(self, left_dir, right_dir, head_dir, dt):
+        return 0.0, 0.0
+
+    def predict(self, x, dt):
+        return np.zeros((x.shape[0], 2))
 
 
 def grid_closest_point(o1, d1, o2, d2, lo=-15.0, hi=15.0, rounds=6, n=121):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from gazehead.dataset import (
+    TASK_ORDER,
     GazeSample,
     SplitSpec,
     Task,
@@ -359,3 +361,120 @@ def test_generate_participant_trial_count():
     assert len(trajs) == 4
     assert all(t.participant_id == 2 for t in trajs)
     assert [t.task for t in trajs] == [Task.LINEAR_PURSUIT] * 2 + [Task.RAPID_SEARCH] * 2
+
+
+# The exact bytes of generate_participant's output, laid out as the
+# benchmark's fingerprint lays them out: header, then the t and valid
+# columns, then the six (T, 3) vector fields. A changed generator bit
+# changes a digest.
+_FINGERPRINT_FIELDS = ("head_pos", "head_dir", "left_origin", "left_dir", "right_origin", "right_dir")
+GENERATOR_DIGESTS = {
+    "criterion-5": (
+        TaskConfig(duration=2.0, motor_noise_rms=20.0, motor_noise_tau=0.5),
+        1,
+        "0884fd8bbcf335f2d2fd187132046237a5abb391425f3ad94e1f89fa78c4ade0",
+    ),
+    "default": (
+        TaskConfig(duration=1.0),
+        2,
+        "a0fe94089a3abd46a316c235bb124b20489cd909bbf393897422412de6d93422",
+    ),
+}
+
+
+def generator_digest(config, trials_per_task, seed=1000):
+    h = hashlib.sha256()
+    for pid in range(3):
+        for traj in generate_participant(pid, TASK_ORDER, trials_per_task, config, seed):
+            samples = traj.samples
+            columns = [np.array([s.t for s in samples]), np.array([s.valid for s in samples])]
+            columns += [np.array([getattr(s, f) for s in samples]) for f in _FINGERPRINT_FIELDS]
+            h.update(f"{traj.participant_id} {traj.task.value} {traj.rate_hz!r}\n".encode())
+            h.update(b"".join(c.tobytes() for c in columns))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_DIGESTS))
+def test_generator_bits_are_pinned(name):
+    config, trials_per_task, expected = GENERATOR_DIGESTS[name]
+    assert generator_digest(config, trials_per_task) == expected
+
+
+HEADER = '{"participant": 0, "task": "linear-pursuit", "rate_hz": 90.0}'
+
+
+def sample_row(t, **fields):
+    row = {"t": t, "head_pos": [0.0, 0.0, 0.0], "head_dir": [0.0, 0.0, 1.0],
+           "lo": [-0.03, 0.0, 0.0], "ld": [0.0, 0.0, 1.0],
+           "ro": [0.03, 0.0, 0.0], "rd": [0.0, 0.0, 1.0], "valid": True}
+    row.update(fields)
+    return json.dumps(row)
+
+
+def load_error(tmp_path, lines):
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TrajectoryFormatError) as err:
+        load_trajectories(path)
+    assert err.value.path == path
+    return err.value
+
+
+def test_first_bad_line_wins_over_a_later_json_error(tmp_path):
+    err = load_error(tmp_path, [
+        HEADER, sample_row(0.0), sample_row(0.1, ld=[0.0, 1.0]), sample_row(0.2), "{not json",
+    ])
+    assert err.line_number == 3
+    assert err.reason == "field left_dir is not a 3-vector"
+
+
+def test_non_monotonic_timestamp_wins_over_a_later_missing_key(tmp_path):
+    bad = json.loads(sample_row(0.2))
+    del bad["rd"]
+    err = load_error(tmp_path, [HEADER, sample_row(0.5), sample_row(0.0), json.dumps(bad)])
+    assert err.line_number == 3
+    assert err.reason == "non-monotonic timestamp"
+
+
+def test_non_unit_gaze_direction_is_rejected(tmp_path):
+    err = load_error(tmp_path, [HEADER, sample_row(0.0), sample_row(0.1, ld=[0.0, 0.0, 0.8])])
+    assert err.line_number == 3
+    assert "left_dir" in err.reason and "unit" in err.reason
+
+
+def test_off_unit_row_is_named_before_a_later_malformed_row(tmp_path):
+    err = load_error(tmp_path, [
+        HEADER, sample_row(0.0), sample_row(0.1, ld=[0.0, 0.0, 0.8]), sample_row(0.2, rd=[0.0, 1.0]),
+    ])
+    assert err.line_number == 3 and "left_dir" in err.reason
+
+
+def test_non_unit_head_direction_is_rejected(tmp_path):
+    err = load_error(tmp_path, [HEADER, sample_row(0.0, head_dir=[0.0, 0.0, 2.0]), sample_row(0.1)])
+    assert err.line_number == 2
+    assert "head_dir" in err.reason and "unit" in err.reason
+
+
+def test_off_unit_gaze_on_a_blink_row_loads(tmp_path):
+    path = tmp_path / "blink.jsonl"
+    path.write_text("\n".join([HEADER, sample_row(0.0), sample_row(0.1, ld=[0.0, 0.0, 0.8], valid=False)]))
+    assert [s.valid for s in load_trajectories(path)[0].samples] == [True, False]
+
+
+def test_null_in_valid_gaze_is_rejected(tmp_path):
+    err = load_error(tmp_path, [HEADER, sample_row(0.0, rd=[0.0, 0.0, None])])
+    assert err.line_number == 2 and "right_dir" in err.reason
+
+
+@pytest.mark.parametrize("header", [
+    '{"participant": null, "task": "linear-pursuit", "rate_hz": 90.0}',
+    '{"participant": 0, "task": "linear-pursuit", "rate_hz": null}',
+])
+def test_null_header_field_reports_line(tmp_path, header):
+    err = load_error(tmp_path, [header, sample_row(0.0)])
+    assert err.line_number == 1 and err.reason.startswith("malformed header")
+
+
+def test_integer_too_large_for_a_float_reports_line(tmp_path):
+    err = load_error(tmp_path, [HEADER, sample_row(0.0), sample_row(0.1, lo=[10**400, 0, 0])])
+    assert err.line_number == 3 and err.reason.startswith("malformed sample row")

@@ -5,7 +5,7 @@ import pytest
 
 from gazehead.controllers import Controller, QuadrantController
 from gazehead.exosim import EmaFilter, ExoLimits, ExoSim, clamp_with_slide, limit_velocity
-from gazehead.training import ZeroController
+from oracles import ZeroController
 
 LIMITS = ExoLimits()
 

@@ -27,8 +27,8 @@ from gazehead.rollout import (
     rollout,
 )
 from gazehead.nn import DenseNet, LstmNet
-from gazehead.training import TrainConfig, ZeroController, fit, head_deltas
-from oracles import focal_point_scalar, focal_points_loop, rollout_loop
+from gazehead.training import TrainConfig, fit, head_deltas
+from oracles import ZeroController, focal_point_scalar, focal_points_loop, rollout_loop
 
 QUIET = RolloutConfig(noise_sigma_deg=0.0, seed=1)
 

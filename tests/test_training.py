@@ -17,7 +17,6 @@ from gazehead.geometry import pitch_yaw_to_dir, vec3
 from gazehead.nn import DenseNet
 from gazehead.training import (
     TrainConfig,
-    ZeroController,
     dataset_loss,
     fit,
     fit_vector_axis,
@@ -27,7 +26,7 @@ from gazehead.training import (
     predicted_deltas,
     zero_baseline_loss,
 )
-from oracles import rel_err
+from oracles import ZeroController, rel_err
 
 
 def static_head_traj(n=50, rate=90.0):

@@ -9,6 +9,8 @@ tree's ``src/`` (BLAS pinned to one thread), and compares the two output
 trees byte for byte:
 
 - ``generate`` 6 participants, all tasks, 6 s trials;
+- ``generate`` a second shape, 3 participants with 2 trials per task at
+  45 Hz and 3 s (compared only, never trained on);
 - ``train`` vector, mlp 8, lstm H2, lstm H3 with 6 inputs and quadrant,
   each with a report and a checkpoint;
 - ``rollout`` of all five with ``--steps-csv`` and ``--duration-cap``;
@@ -46,7 +48,9 @@ CONFIGS = [f"{name}.json" for name in CONTROLLERS]
 def pipeline():
     """The CLI commands, in order; paths are relative to the output tree."""
     steps = [["generate", "--task", "all", "--participants", "6", "--seed", "1",
-              "--duration", "6", "--out", "data"]]
+              "--duration", "6", "--out", "data"],
+             ["generate", "--task", "all", "--participants", "3", "--trials-per-task", "2",
+              "--rate", "45", "--duration", "3", "--seed", "2", "--out", "data45"]]
     for name in CONTROLLERS:
         steps.append(["train", *TRAIN[name], "--data", "data", "--seed", "0", "--name", name,
                       "--out", f"{name}.json", "--report", f"{name}.report.json"])
