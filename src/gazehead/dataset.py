@@ -1,5 +1,10 @@
-"""Trajectory records, JSONL storage, blink repair, splits, and synthetic
+"""Trajectories, JSONL storage, blink repair, splits, and synthetic
 eye-head task data.
+
+A Trajectory holds one trial as columns: ``t`` (T,), six (T, 3) vector
+columns (head position and direction, each eye's origin and gaze; meters,
+unit-norm world-frame directions) and ``valid`` (T,), False marking a
+blink. ``Trajectory.samples``, a row view of them, is for the benchmark.
 
 File format (one or more trajectories per .jsonl file): a header object
 ``{"participant", "task", "rate_hz"}`` starts each trajectory, followed by
@@ -20,6 +25,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain, count, repeat
 
 import numpy as np
 
@@ -27,7 +33,6 @@ from .geometry import (
     EYE_OFFSET,
     dir_to_pitch_yaw,
     head_rotation,
-    interpolate_blink,
     norm,
     normalize,
     normalize_rows,
@@ -46,36 +51,75 @@ class Task(str, enum.Enum):
 
 TASK_ORDER = list(Task)
 
+# the six vector columns and their JSON keys, in file order
+_VECTORS = ("head_pos", "head_dir", "left_origin", "left_dir", "right_origin", "right_dir")
+_KEYS = ("head_pos", "head_dir", "lo", "ld", "ro", "rd")
+COLUMNS = ("t", *_VECTORS, "valid")
 
-@dataclass
-class GazeSample:
-    """One timestamped binocular gaze + head pose record.
 
-    Positions in meters, directions unit-norm in the world frame.
-    ``valid`` False marks a blink. In a generated or loaded trajectory each
-    array is a row view of a per-trajectory (T, 3) block, one block per
-    field.
-    """
+@dataclass(eq=False)  # a field-wise == of arrays has no single truth value
+class Trajectory:
+    """One trial: its header and its columns (see the module docstring),
+    float64 arrays and a bool ``valid``."""
 
-    t: float
+    participant_id: int
+    task: Task
+    rate_hz: float
+    t: np.ndarray
     head_pos: np.ndarray
     head_dir: np.ndarray
     left_origin: np.ndarray
     left_dir: np.ndarray
     right_origin: np.ndarray
     right_dir: np.ndarray
-    valid: bool = True
-
-
-@dataclass
-class Trajectory:
-    participant_id: int
-    task: Task
-    rate_hz: float
-    samples: list[GazeSample] = field(default_factory=list)
+    valid: np.ndarray
+    _rows: list | None = field(default=None, init=False, repr=False)
 
     def __len__(self):
-        return len(self.samples)
+        return len(self.t)
+
+    @property
+    def samples(self):
+        """The samples as rows with one attribute per column, built on the
+        first access. For the benchmark, which still reads and writes
+        trajectories row by row; a write lands in the columns."""
+        if self._rows is None:
+            columns = {name: getattr(self, name) for name in COLUMNS}
+            vectors = (columns[name] for name in _VECTORS)
+            t, valid = self.t.tolist(), self.valid.tolist()
+            rows = list(map(_Row, repeat(columns), count(), t, *vectors, valid))
+            for row in rows:
+                row.__class__ = _SampleRow
+            self._rows = rows
+        return self._rows
+
+
+class _Row:
+    """A sample row while it is built, with plain slot stores; samples
+    then makes it a _SampleRow, whose stores write through."""
+
+    __slots__ = ("_columns", "_i", *COLUMNS)
+
+    def __init__(self, columns, i, t, head_pos, head_dir, left_origin, left_dir, right_origin,
+                 right_dir, valid):
+        self._columns, self._i, self.t, self.valid = columns, i, t, valid
+        self.head_pos, self.head_dir, self.left_origin = head_pos, head_dir, left_origin
+        self.left_dir, self.right_origin, self.right_dir = left_dir, right_origin, right_dir
+
+
+class _SampleRow(_Row):
+    """One sample of a trajectory's columns. The vector attributes are row
+    views of the columns and t and valid are Python scalars, so a read is a
+    slot read; setting an attribute writes the column (write through the
+    row, not the column, or t and valid go stale)."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        column = self._columns[name]
+        column[self._i] = value
+        if column.ndim == 1:
+            object.__setattr__(self, name, column[self._i].item())
 
 
 @dataclass
@@ -120,17 +164,12 @@ def _reject_constant(token):
 # shared decoder keeps the per-row cost of the default one
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
-
-# the six vector fields of GazeSample and their JSON keys, in file order
-_FIELDS = ("head_pos", "head_dir", "left_origin", "left_dir", "right_origin", "right_dir")
-_KEYS = ("head_pos", "head_dir", "lo", "ld", "ro", "rd")
+# JSON numbers decode to these; a bool, a string or a null in a numeric
+# field is an error, though float() would take some of them
+_NUMBERS = frozenset((int, float))
 
 # a loaded direction this close to unit length counts as unit
 UNIT_TOLERANCE = 1e-6
-
-
-def _vec_list(v):
-    return [float(v[0]), float(v[1]), float(v[2])]
 
 
 def save_trajectories(trajectories, path):
@@ -146,105 +185,94 @@ def save_trajectories(trajectories, path):
                 "rate_hz": float(traj.rate_hz),
             }
             f.write(json.dumps(header) + "\n")
-            for s in traj.samples:
-                row = {
-                    "t": float(s.t),
-                    "head_pos": _vec_list(s.head_pos),
-                    "head_dir": _vec_list(s.head_dir),
-                    "lo": _vec_list(s.left_origin),
-                    "ld": _vec_list(s.left_dir),
-                    "ro": _vec_list(s.right_origin),
-                    "rd": _vec_list(s.right_dir),
-                    "valid": bool(s.valid),
-                }
-                f.write(json.dumps(row) + "\n")
+            columns = [getattr(traj, name).tolist() for name in COLUMNS]
+            for values in zip(*columns):
+                f.write(json.dumps(dict(zip(("t", *_KEYS, "valid"), values))) + "\n")
 
 
 def _malformed(exc, line_number):
     return TrajectoryFormatError(f"malformed sample row ({exc})", line_number)
 
 
-def _parse_sample(row, line_number):
-    """One decoded sample row on its own; names what is wrong with it."""
+def _check_row(row, line_number):
+    """Raises TrajectoryFormatError naming what is malformed in one decoded
+    sample row on its own."""
     try:
-        sample = GazeSample(
-            float(row["t"]),
-            *(np.array(row[key], dtype=float) for key in _KEYS),
-            valid=bool(row["valid"]),
-        )
+        vectors = [np.array(row[key], dtype=float) for key in _KEYS]
+        bool(row["valid"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise _malformed(exc, line_number) from exc
-    for name in _FIELDS:
-        if getattr(sample, name).shape != (3,):
+    for name, vector in zip(_VECTORS, vectors):
+        if vector.shape != (3,):
             raise TrajectoryFormatError(f"field {name} is not a 3-vector", line_number)
-    return sample
+    for name, values in zip(COLUMNS, [[row["t"]], *(row[key] for key in _KEYS)]):
+        if not _NUMBERS.issuperset(map(type, values)):
+            raise TrajectoryFormatError(f"field {name} is not a number", line_number)
 
 
-def _sample_columns(rows, line_numbers):
-    """The six (n, 3) vector columns and the (n,) valid flags of a
-    trajectory's decoded sample rows.
+def _sample_columns(rows, line_numbers, times):
+    """The columns, in COLUMNS order, of a trajectory's decoded sample rows
+    and their timestamps.
 
-    Raises TrajectoryFormatError for the first bad row: a malformed row, or
-    a direction that is not unit length (head_dir on every row, the gaze
-    only on valid rows). A valid row whose gaze has collapsed (norm below
-    0.5) is reclassified as a blink first.
+    Raises TrajectoryFormatError for the first bad row: a malformed row, a
+    value that is not a number or not finite, or a direction that is not
+    unit length (head_dir on every row, the gaze only on valid rows). A
+    valid row whose gaze has collapsed (norm below 0.5) is reclassified as
+    a blink first.
     """
     n = len(rows)
-    error = None
     try:
-        columns = [np.array([row[key] for row in rows], dtype=float) for key in _KEYS]
+        raw = [[row[key] for row in rows] for key in _KEYS]
+        vectors = [np.array(values, dtype=float) for values in raw]
         valid = np.array([bool(row["valid"]) for row in rows])
-        malformed = any(column.shape != (n, 3) for column in columns)
+        malformed = any(column.shape != (n, 3) for column in vectors) or not _NUMBERS.issuperset(
+            map(type, chain([row["t"] for row in rows], *map(chain.from_iterable, raw)))
+        )
     except (KeyError, TypeError, ValueError, OverflowError):
         malformed = True
     if malformed:
-        # parse row by row up to the first malformed row; a direction
-        # error on an earlier row is still reported first
-        samples = []
-        for row, line_number in zip(rows, line_numbers):
+        # some row is malformed on its own: name the first, unless the
+        # rows before it hold an error
+        for m, (row, line_number) in enumerate(zip(rows, line_numbers)):
             try:
-                samples.append(_parse_sample(row, line_number))
-            except TrajectoryFormatError as exc:
-                error = exc
-                break
-        columns = [np.array([getattr(s, name) for s in samples]).reshape(-1, 3) for name in _FIELDS]
-        valid = np.array([s.valid for s in samples], dtype=bool)
+                _check_row(row, line_number)
+            except TrajectoryFormatError:
+                if m:
+                    _sample_columns(rows[:m], line_numbers[:m], times[:m])
+                raise
+    t = np.array(times, dtype=float)
     # one row per sample: the lengths of head_dir, left_dir and right_dir
-    lengths = np.column_stack([norms(columns[1]), norms(columns[3]), norms(columns[5])])
+    lengths = np.column_stack([norms(vectors[1]), norms(vectors[3]), norms(vectors[5])])
     valid &= ~np.any(lengths[:, 1:] < 0.5, axis=1)
-    off_unit = ~(np.abs(lengths - 1.0) <= UNIT_TOLERANCE)  # NaN counts as off
+    off_unit = ~(np.abs(lengths - 1.0) <= UNIT_TOLERANCE)
     off_unit[:, 1:] &= valid[:, None]
-    bad = np.flatnonzero(off_unit.any(axis=1))
+    # per row, in the order they are reported: t and the six vectors not
+    # finite, then head_dir, left_dir and right_dir off unit
+    non_finite = [~np.isfinite(t), *(~np.isfinite(v).all(axis=1) for v in vectors)]
+    problems = np.column_stack([*non_finite, off_unit])
+    bad = np.flatnonzero(problems.any(axis=1))
     if len(bad):
         i = bad[0]
-        k = int(np.argmax(off_unit[i]))
+        k = int(np.argmax(problems[i]))
+        if k < len(non_finite):
+            raise TrajectoryFormatError(f"field {COLUMNS[k]} is not finite", line_numbers[i])
+        k -= len(non_finite)
         name = ("head_dir", "left_dir", "right_dir")[k]
         raise TrajectoryFormatError(
             f"field {name} is not unit length (norm {float(lengths[i, k])!r})", line_numbers[i]
         )
-    if error is not None:
-        raise error
-    return columns, valid
-
-
-def _with_samples(header, rows, line_numbers, times):
-    """The header trajectory filled with its buffered sample rows."""
-    columns, valid = _sample_columns(rows, line_numbers)
-    header.samples = [
-        GazeSample(t, head_pos, head_dir, lo, ld, ro, rd, flag)
-        for t, head_pos, head_dir, lo, ld, ro, rd, flag in zip(times, *columns, valid.tolist())
-    ]
-    return header
+    return t, *vectors, valid
 
 
 def load_trajectories(path):
     """Parse a JSONL trajectory file; returns only non-empty trajectories.
 
     Raises TrajectoryFormatError with the path and the offending line
-    number for malformed rows, NaN or Infinity tokens, a rate_hz that is
-    not positive and finite, non-monotonic timestamps, or a head or (on a
-    valid row) gaze direction more than UNIT_TOLERANCE off unit length.
-    Rows whose gaze has collapsed load as blinks.
+    number for malformed rows, NaN or Infinity tokens, numeric fields that
+    hold a bool, a string or a null, or that overflow to infinity, a
+    rate_hz that is not positive and finite, non-monotonic timestamps, or a
+    head or (on a valid row) gaze direction more than UNIT_TOLERANCE off
+    unit length. Rows whose gaze has collapsed load as blinks.
     """
     with open(path, encoding="utf-8") as f:
         try:
@@ -257,13 +285,13 @@ def _parse_lines(f):
     """Trajectories of an open JSONL file; errors name the line only.
 
     Lines are decoded one at a time, and timestamps are checked as they
-    come; a trajectory's sample rows are buffered and turned into arrays
+    come; a trajectory's sample rows are buffered and turned into columns
     together at the next header or at the end of the file. Before any
     error is raised the buffered rows are checked as well, so the error
     names the first bad line of the file.
     """
     trajectories = []
-    current = None
+    header = None
     rows, line_numbers, times = [], [], []
     try:
         for line_number, line in enumerate(f, start=1):
@@ -282,40 +310,37 @@ def _parse_lines(f):
                 if rows:
                     pending = rows, line_numbers, times
                     rows, line_numbers, times = [], [], []
-                    trajectories.append(_with_samples(current, *pending))
+                    trajectories.append(Trajectory(*header, *_sample_columns(*pending)))
                 try:
-                    current = Trajectory(
-                        participant_id=int(row["participant"]),
-                        task=Task(row["task"]),
-                        rate_hz=float(row["rate_hz"]),
-                    )
-                except (KeyError, TypeError, ValueError) as exc:
+                    header = int(row["participant"]), Task(row["task"]), float(row["rate_hz"])
+                except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     raise TrajectoryFormatError(f"malformed header ({exc})", line_number) from exc
-                if not (math.isfinite(current.rate_hz) and current.rate_hz > 0):
+                rate_hz = header[2]
+                if not (math.isfinite(rate_hz) and rate_hz > 0):
                     raise TrajectoryFormatError(
-                        f"rate_hz must be positive and finite, got {current.rate_hz!r}", line_number
+                        f"rate_hz must be positive and finite, got {rate_hz!r}", line_number
                     )
                 continue
-            if current is None:
+            if header is None:
                 raise TrajectoryFormatError("sample row before any header", line_number)
             try:
                 t = float(row["t"])
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise _malformed(exc, line_number) from exc
             # buffered before the timestamp check: a malformed field of
             # this row is reported ahead of its timestamp
             rows.append(row)
             line_numbers.append(line_number)
-            if times and t <= times[-1]:
-                raise TrajectoryFormatError("non-monotonic timestamp", line_number)
             times.append(t)
+            if len(times) > 1 and t <= times[-2]:
+                raise TrajectoryFormatError("non-monotonic timestamp", line_number)
         if rows:
             pending = rows, line_numbers, times
             rows = []
-            trajectories.append(_with_samples(current, *pending))
+            trajectories.append(Trajectory(*header, *_sample_columns(*pending)))
     except TrajectoryFormatError:
         if rows:
-            _sample_columns(rows, line_numbers)  # raises for an earlier bad row
+            _sample_columns(rows, line_numbers, times)  # raises for an earlier bad row
         raise
     return trajectories
 
@@ -324,52 +349,45 @@ def repair_blinks(traj: Trajectory) -> Trajectory:
     """Replace blink samples by interpolated gaze between the bracketing
     valid samples; leading/trailing blinks are trimmed.
 
-    The interpolation fraction is elapsed time over the bracketing span.
-    Raises ValueError when no valid samples exist.
+    The interpolation fraction f is elapsed time over the bracketing span,
+    and each gaze is the blend (1 - f) * before + f * after divided by its
+    geometry.norms length. Raises ValueError when no valid samples exist,
+    or when a blend collapses (antiparallel bracketing gaze).
     """
-    valid_idx = [i for i, s in enumerate(traj.samples) if s.valid]
-    if not valid_idx:
+    kept = np.flatnonzero(traj.valid)
+    if not len(kept):
         raise ValueError("trajectory has no valid samples; unrecoverable")
-    samples = traj.samples[valid_idx[0] : valid_idx[-1] + 1]
-    repaired = []
-    i = 0
-    while i < len(samples):
-        s = samples[i]
-        if s.valid:
-            repaired.append(s)
-            i += 1
-            continue
-        j = i
-        while not samples[j].valid:
-            j += 1
-        before = repaired[-1]
-        after = samples[j]
-        span = after.t - before.t
-        for k in range(i, j):
-            gap_sample = samples[k]
-            fraction = (gap_sample.t - before.t) / span
-            repaired.append(
-                replace(
-                    gap_sample,
-                    left_dir=interpolate_blink(before.left_dir, after.left_dir, fraction),
-                    right_dir=interpolate_blink(before.right_dir, after.right_dir, fraction),
-                    valid=True,
-                )
-            )
-        i = j
-    return Trajectory(traj.participant_id, traj.task, traj.rate_hz, repaired)
+    inside = slice(kept[0], kept[-1] + 1)
+    columns = {name: getattr(traj, name)[inside] for name in COLUMNS}
+    gaps = np.flatnonzero(~columns["valid"])
+    if len(gaps):
+        kept = kept - kept[0]
+        at = np.searchsorted(kept, gaps)
+        before, after = kept[at - 1], kept[at]
+        t = columns["t"]
+        fraction = ((t[gaps] - t[before]) / (t[after] - t[before]))[:, None]
+        for name in ("left_dir", "right_dir"):
+            gaze = columns[name].copy()
+            blend = (1.0 - fraction) * gaze[before] + fraction * gaze[after]
+            n = norms(blend)
+            if np.any(n < 1e-9):
+                raise ValueError("cannot interpolate between antiparallel directions")
+            gaze[gaps] = blend / n[:, None]
+            columns[name] = gaze
+        columns["valid"] = np.ones(len(t), dtype=bool)
+    return replace(traj, **columns)
 
 
 def downsample(traj: Trajectory, factor: int) -> Trajectory:
-    """Keep every factor-th sample starting at index 0."""
+    """Keep every factor-th sample starting at index 0; the columns are
+    strided views of the input's."""
     if int(factor) != factor or factor < 1:
         raise ValueError("downsample factor must be a positive integer")
     factor = int(factor)
-    return Trajectory(
-        traj.participant_id,
-        traj.task,
-        traj.rate_hz / factor,
-        traj.samples[::factor],
+    return replace(
+        traj,
+        rate_hz=traj.rate_hz / factor,
+        **{name: getattr(traj, name)[::factor] for name in COLUMNS},
     )
 
 
@@ -666,11 +684,8 @@ def generate_task(task: Task, config: TaskConfig, seed: int, participant_id: int
     for offset in (-EYE_OFFSET, EYE_OFFSET):
         origin = head_pos + (rots @ vec3(offset, 0.0, 0.0)[:, None])[..., 0]
         eyes += [origin, normalize_rows(positions - origin)]
-    samples = [
-        GazeSample(t, *vectors)
-        for t, *vectors in zip(times.tolist(), head_pos, head_dir, *eyes)
-    ]
-    oracle = Trajectory(participant_id, task, config.rate_hz, samples)
+    oracle = Trajectory(participant_id, task, config.rate_hz, times, head_pos, head_dir, *eyes,
+                        np.ones(n, dtype=bool))
     return TargetTrack(t=times, pos=positions), oracle
 
 

@@ -148,19 +148,6 @@ def focal_point(left: Ray, right: Ray) -> FocalPoint:
     return FocalPoint(point=points[0], gap=float(gaps[0]), degenerate=False)
 
 
-def interpolate_blink(before: Vec3, after: Vec3, fraction: float) -> Vec3:
-    """Renormalized linear interpolation between two unit directions.
-
-    Raises ValueError when the interpolant collapses (antiparallel inputs),
-    which marks the sample as unrecoverable.
-    """
-    blend = (1.0 - fraction) * before + fraction * after
-    n = norm(blend)
-    if n < 1e-9:
-        raise ValueError("cannot interpolate between antiparallel directions")
-    return blend / n
-
-
 def dir_to_pitch_yaw(d: Vec3) -> tuple[float, float]:
     """(pitch, yaw) in radians of a unit direction.
 

@@ -56,9 +56,7 @@ def precompute_focal_points(traj: Trajectory) -> np.ndarray:
     degenerate first sample is an error. Expects a blink-repaired
     trajectory.
     """
-    samples = traj.samples
-    rays = [np.array([getattr(s, name) for s in samples])
-            for name in ("left_origin", "left_dir", "right_origin", "right_dir")]
+    rays = traj.left_origin, traj.left_dir, traj.right_origin, traj.right_dir
     points, degenerate, _ = focal_points(*rays)
     if degenerate[0]:
         raise ValueError("first sample has parallel gaze; no focal point")
@@ -164,7 +162,7 @@ def lockstep(controllers, trajs, config: RolloutConfig) -> list[RolloutResult]:
     n_traj = len(trajs)
     traj_of = np.tile(np.arange(n_traj), len(controllers))
     every = np.array([_tick_divisor(c, traj) for c in controllers for traj in trajs])
-    lengths = [len(traj.samples) for traj in trajs]
+    lengths = [len(traj) for traj in trajs]
     if config.duration_cap_s is not None:
         cap = config.duration_cap_s
         lengths = [min(n, int(cap * traj.rate_hz)) for n, traj in zip(lengths, trajs)]
@@ -172,9 +170,8 @@ def lockstep(controllers, trajs, config: RolloutConfig) -> list[RolloutResult]:
         raise ValueError(f"a duration cap of {config.duration_cap_s:g} s keeps no sample")
     t_max = max(lengths)
     focal = _padded([precompute_focal_points(traj)[:n] for traj, n in zip(trajs, lengths)], t_max)
-    runs = [traj.samples[:n] for traj, n in zip(trajs, lengths)]
-    head_pos = _padded([[s.head_pos for s in run] for run in runs], t_max)
-    head_dir = _padded([[s.head_dir for s in run] for run in runs], t_max)
+    head_pos = _padded([traj.head_pos[:n] for traj, n in zip(trajs, lengths)], t_max)
+    head_dir = _padded([traj.head_dir[:n] for traj, n in zip(trajs, lengths)], t_max)
     sigma = math.radians(config.noise_sigma_deg)
     noise = None
     if sigma > 0.0:  # 8 values per step: each eye's angle and axis, unless redrawn
@@ -184,7 +181,7 @@ def lockstep(controllers, trajs, config: RolloutConfig) -> list[RolloutResult]:
 
     for controller in controllers:
         controller.reset_rows(n_traj)
-    start = [dir_to_pitch_yaw(traj.samples[0].head_dir) for traj in trajs]
+    start = [dir_to_pitch_yaw(traj.head_dir[0]) for traj in trajs]
     pitch = np.array([start[j][0] for j in traj_of])
     yaw = np.array([start[j][1] for j in traj_of])
     eyes = [np.array([[-EYE_OFFSET, 0.0, 0.0]]), np.array([[EYE_OFFSET, 0.0, 0.0]])]

@@ -37,8 +37,7 @@ def head_deltas(traj: Trajectory):
     Yaw is unwrapped first, so a head crossing +/-180 degrees moves by its
     small true step rather than by about 360 degrees.
     """
-    dirs = np.array([s.head_dir for s in traj.samples])
-    pitch, yaw = dirs_to_pitch_yaw(dirs)
+    pitch, yaw = dirs_to_pitch_yaw(traj.head_dir)
     return np.column_stack([np.diff(pitch), np.diff(np.unwrap(yaw))])
 
 
@@ -57,9 +56,7 @@ def _to_head_frame(dirs, sp, cp, sy, cy):
 def net_inputs(traj: Trajectory):
     """(T-1, 9) network inputs: head-relative left/right gaze directions
     plus the world-frame head direction."""
-    head = np.array([s.head_dir for s in traj.samples[:-1]])
-    left = np.array([s.left_dir for s in traj.samples[:-1]])
-    right = np.array([s.right_dir for s in traj.samples[:-1]])
+    head, left, right = traj.head_dir[:-1], traj.left_dir[:-1], traj.right_dir[:-1]
     pitch, yaw = dirs_to_pitch_yaw(head)
     sp, cp = np.sin(pitch), np.cos(pitch)
     sy, cy = np.sin(yaw), np.cos(yaw)

@@ -4,9 +4,11 @@ These deliberately avoid the closed-form paths in the package: the ray
 oracle is a grid search, the control-law oracle is 50-digit arithmetic,
 gradients are central finite differences. The rollout oracles are the
 plain per-sample form (np.cross, np.linalg.norm, one 3x3 solve per
-sample) that the package's faster rollout must match bit for bit.
-ZeroController, a baseline that never moves the head, lives here because
-only tests use it.
+sample) that the package's faster rollout must match bit for bit, and the
+blink-repair oracle is the per-sample loop that the package's columnar
+repair must match bit for bit. ZeroController, a baseline that never moves
+the head, and make_trajectory, a builder of small test trajectories, live
+here because only tests use them.
 """
 
 import math
@@ -15,8 +17,8 @@ import mpmath
 import numpy as np
 
 from gazehead.controllers import Controller
-from gazehead.dataset import TASK_ORDER
-from gazehead.geometry import HeadOrientation, rotate_head
+from gazehead.dataset import COLUMNS, TASK_ORDER, Task, Trajectory
+from gazehead.geometry import HeadOrientation, Vec3, norm, rotate_head
 
 
 class ZeroController(Controller):
@@ -29,6 +31,74 @@ class ZeroController(Controller):
 
     def predict(self, x, dt):
         return np.zeros((x.shape[0], 2))
+
+
+def make_trajectory(t, left_dir, right_dir=None, head_dir=(0.0, 0.0, 1.0), valid=True,
+                    participant_id=0, task=Task.LINEAR_PURSUIT, rate_hz=90.0):
+    """A trajectory with the head at the origin and the eyes 3 cm to either
+    side. Each direction is one 3-vector for every sample or a (T, 3)
+    array, and valid one flag or a (T,) array; the right gaze defaults to
+    the left one."""
+    t = np.asarray(t, dtype=float)
+
+    def rows(v):
+        return np.broadcast_to(np.asarray(v, dtype=float), (len(t), 3)).copy()
+
+    left = rows(left_dir)
+    right = left.copy() if right_dir is None else rows(right_dir)
+    return Trajectory(participant_id, task, rate_hz, t, rows((0.0, 0.0, 0.0)), rows(head_dir),
+                      rows((-0.03, 0.0, 0.0)), left, rows((0.03, 0.0, 0.0)), right,
+                      np.broadcast_to(np.asarray(valid, dtype=bool), t.shape).copy())
+
+
+def interpolate_blink(before: Vec3, after: Vec3, fraction: float) -> Vec3:
+    """Renormalized linear interpolation between two unit directions.
+
+    Raises ValueError when the interpolant collapses (antiparallel inputs),
+    which marks the sample as unrecoverable.
+    """
+    blend = (1.0 - fraction) * before + fraction * after
+    n = norm(blend)
+    if n < 1e-9:
+        raise ValueError("cannot interpolate between antiparallel directions")
+    return blend / n
+
+
+def repair_blinks_loop(traj):
+    """Blink repair sample by sample: leading and trailing blinks trimmed,
+    each interior blink's gaze interpolate_blink between the last repaired
+    sample before its run and the valid sample after it, at elapsed time
+    over their span."""
+    samples = [dict(zip(COLUMNS, row)) for row in zip(*(getattr(traj, c) for c in COLUMNS))]
+    valid_idx = [i for i, s in enumerate(samples) if s["valid"]]
+    if not valid_idx:
+        raise ValueError("trajectory has no valid samples; unrecoverable")
+    samples = samples[valid_idx[0] : valid_idx[-1] + 1]
+    repaired = []
+    i = 0
+    while i < len(samples):
+        s = samples[i]
+        if s["valid"]:
+            repaired.append(s)
+            i += 1
+            continue
+        j = i
+        while not samples[j]["valid"]:
+            j += 1
+        before = repaired[-1]
+        after = samples[j]
+        span = float(after["t"]) - float(before["t"])
+        for k in range(i, j):
+            fraction = (float(samples[k]["t"]) - float(before["t"])) / span
+            repaired.append({
+                **samples[k],
+                "left_dir": interpolate_blink(before["left_dir"], after["left_dir"], fraction),
+                "right_dir": interpolate_blink(before["right_dir"], after["right_dir"], fraction),
+                "valid": True,
+            })
+        i = j
+    columns = [np.array([s[c] for s in repaired]) for c in COLUMNS]
+    return Trajectory(traj.participant_id, traj.task, traj.rate_hz, *columns)
 
 
 def grid_closest_point(o1, d1, o2, d2, lo=-15.0, hi=15.0, rounds=6, n=121):
@@ -87,9 +157,10 @@ def focal_point_scalar(lo, ld, ro, rd):
 
 def focal_points_loop(traj):
     """One focal point per sample; a parallel sample inherits the previous."""
-    points = np.empty((len(traj.samples), 3))
-    for i, s in enumerate(traj.samples):
-        point, _ = focal_point_scalar(s.left_origin, s.left_dir, s.right_origin, s.right_dir)
+    points = np.empty((len(traj), 3))
+    for i in range(len(traj)):
+        point, _ = focal_point_scalar(traj.left_origin[i], traj.left_dir[i],
+                                      traj.right_origin[i], traj.right_dir[i])
         if point is None:
             if i == 0:
                 raise ValueError("first sample has parallel gaze; no focal point")
@@ -124,9 +195,9 @@ def rollout_loop(controller, traj, noise_sigma_deg, seed, every, n=None, eye_off
         rng = np.random.default_rng([seed, traj.participant_id, TASK_ORDER.index(traj.task)])
     sigma = math.radians(noise_sigma_deg)
     dt = 1.0 / traj.rate_hz
-    n = len(traj.samples) if n is None else n
+    n = len(traj) if n is None else n
     controller.reset()
-    head = HeadOrientation.from_forward(traj.samples[0].head_dir)
+    head = HeadOrientation.from_forward(traj.head_dir[0])
     left_local = np.array([-eye_offset, 0.0, 0.0])
     right_local = np.array([eye_offset, 0.0, 0.0])
     imputed = np.empty((n, 3))
@@ -134,12 +205,12 @@ def rollout_loop(controller, traj, noise_sigma_deg, seed, every, n=None, eye_off
     for t in range(n):
         forward = head.forward
         imputed[t] = forward
-        diff = forward - traj.samples[t].head_dir
+        diff = forward - traj.head_dir[t]
         errors[t] = float(diff @ diff)
         if t == n - 1:
             break
         rot = head.rotation()
-        head_pos = traj.samples[t].head_pos
+        head_pos = traj.head_pos[t]
         dpitch, dyaw = 0.0, 0.0
         if t % every == 0:
             left_dir = focal[t] - (head_pos + rot @ left_local)

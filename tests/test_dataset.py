@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from gazehead.dataset import (
+    COLUMNS,
     TASK_ORDER,
-    GazeSample,
     SplitSpec,
     Task,
     TaskConfig,
-    Trajectory,
     TrajectoryFormatError,
     downsample,
     generate_participant,
@@ -21,24 +20,23 @@ from gazehead.dataset import (
     save_trajectories,
     split,
 )
-from gazehead.geometry import vec3
+from oracles import make_trajectory, repair_blinks_loop
 
 SHORT = TaskConfig(duration=5.0)
 
 
-def make_sample(t, left_dir, right_dir=None, valid=True):
-    d = np.asarray(left_dir, dtype=float)
-    r = d if right_dir is None else np.asarray(right_dir, dtype=float)
-    return GazeSample(
-        t=t,
-        head_pos=vec3(0, 0, 0),
-        head_dir=vec3(0, 0, 1),
-        left_origin=vec3(-0.03, 0, 0),
-        left_dir=d,
-        right_origin=vec3(0.03, 0, 0),
-        right_dir=r,
-        valid=valid,
+def same_columns(a, b):
+    """Every column of two trajectories has the same dtype, shape and bits."""
+    return all(
+        getattr(a, c).dtype == getattr(b, c).dtype
+        and getattr(a, c).shape == getattr(b, c).shape
+        and getattr(a, c).tobytes() == getattr(b, c).tobytes()
+        for c in COLUMNS
     )
+
+
+def stub(participant_id, task):
+    return make_trajectory([], [0, 0, 1], participant_id=participant_id, task=task)
 
 
 def test_header_only_file_loads_empty(tmp_path):
@@ -58,33 +56,23 @@ def test_roundtrip_is_bit_exact(tmp_path):
     assert got.task == oracle.task
     assert got.rate_hz == oracle.rate_hz
     assert len(got) == len(oracle)
-    for a, b in zip(got.samples, oracle.samples):
-        assert a.t == b.t and a.valid == b.valid
-        for name in ("head_pos", "head_dir", "left_origin", "left_dir", "right_origin", "right_dir"):
-            assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert same_columns(got, oracle)
 
 
 def test_invalid_rows_are_kept(tmp_path):
-    traj = Trajectory(0, Task.LINEAR_PURSUIT, 90.0, [
-        make_sample(0.0, [0, 0, 1]),
-        make_sample(1 / 90, [0, 0, 1], valid=False),
-        make_sample(2 / 90, [0, 0, 1]),
-    ])
+    traj = make_trajectory([0.0, 1 / 90, 2 / 90], [0, 0, 1], valid=[True, False, True])
     path = tmp_path / "t.jsonl"
     save_trajectories(traj, path)
     loaded = load_trajectories(path)[0]
-    assert [s.valid for s in loaded.samples] == [True, False, True]
+    assert loaded.valid.tolist() == [True, False, True]
 
 
 def test_collapsed_gaze_marked_blink_on_load(tmp_path):
-    traj = Trajectory(0, Task.LINEAR_PURSUIT, 90.0, [
-        make_sample(0.0, [0, 0, 1]),
-        make_sample(1 / 90, [0, 0, 0.1]),  # norm < 0.5 but flagged valid
-    ])
+    traj = make_trajectory([0.0, 1 / 90], [[0, 0, 1], [0, 0, 0.1]])  # norm < 0.5 but flagged valid
     path = tmp_path / "t.jsonl"
     save_trajectories(traj, path)
     loaded = load_trajectories(path)[0]
-    assert loaded.samples[1].valid is False
+    assert loaded.valid.tolist() == [True, False]
 
 
 def test_malformed_row_reports_line(tmp_path):
@@ -101,10 +89,7 @@ def test_malformed_row_reports_line(tmp_path):
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
 def test_non_finite_token_reports_line(tmp_path, token):
     path = tmp_path / "bad.jsonl"
-    save_trajectories(Trajectory(0, Task.LINEAR_PURSUIT, 90.0, [
-        make_sample(0.0, [0, 0, 1]),
-        make_sample(0.5, [0, 0, 1]),
-    ]), path)
+    save_trajectories(make_trajectory([0.0, 0.5], [0, 0, 1]), path)
     lines = path.read_text().splitlines()
     row = json.loads(lines[2])
     lines[2] = lines[2].replace(json.dumps(row["t"]), token, 1)
@@ -138,10 +123,7 @@ def test_non_positive_rate_reports_line(tmp_path, rate):
 
 
 def test_non_monotonic_timestamps_rejected(tmp_path):
-    traj = Trajectory(0, Task.LINEAR_PURSUIT, 90.0, [
-        make_sample(0.0, [0, 0, 1]),
-        make_sample(0.5, [0, 0, 1]),
-    ])
+    traj = make_trajectory([0.0, 0.5], [0, 0, 1])
     path = tmp_path / "t.jsonl"
     save_trajectories(traj, path)
     lines = path.read_text().splitlines()
@@ -153,84 +135,72 @@ def test_non_monotonic_timestamps_rejected(tmp_path):
 
 
 def test_repair_blinks_identity():
-    traj = Trajectory(0, Task.LINEAR_PURSUIT, 90.0, [
-        make_sample(i / 90, [0, 0, 1]) for i in range(5)
-    ])
+    traj = make_trajectory(np.arange(5) / 90, [0, 0, 1])
     out = repair_blinks(traj)
     assert len(out) == 5
-    assert all(s.valid for s in out.samples)
-    assert np.array_equal(out.samples[2].left_dir, traj.samples[2].left_dir)
+    assert out.valid.all()
+    assert np.array_equal(out.left_dir[2], traj.left_dir[2])
 
 
 def test_repair_blinks_single_gap():
-    traj = Trajectory(0, Task.LINEAR_PURSUIT, 90.0, [
-        make_sample(0.0, [1, 0, 0]),
-        make_sample(1.0, [0, 0, 1], valid=False),
-        make_sample(2.0, [0, 1, 0]),
-    ])
+    traj = make_trajectory([0.0, 1.0, 2.0], [[1, 0, 0], [0, 0, 1], [0, 1, 0]], valid=[True, False, True])
     out = repair_blinks(traj)
-    assert np.allclose(out.samples[1].left_dir, [0.7071068, 0.7071068, 0], atol=1e-7)
-    assert out.samples[1].valid
+    assert np.allclose(out.left_dir[1], [0.7071068, 0.7071068, 0], atol=1e-7)
+    assert out.valid[1]
 
 
 def test_repair_blinks_run_fractions():
     before = np.array([1.0, 0.0, 0.0])
     after = np.array([0.0, 1.0, 0.0])
-    traj = Trajectory(0, Task.LINEAR_PURSUIT, 90.0, [
-        make_sample(0.0, before),
-        make_sample(1.0, [0, 0, 1], valid=False),
-        make_sample(2.0, [0, 0, 1], valid=False),
-        make_sample(3.0, [0, 0, 1], valid=False),
-        make_sample(4.0, after),
-    ])
+    traj = make_trajectory(
+        [0.0, 1.0, 2.0, 3.0, 4.0],
+        [before, [0, 0, 1], [0, 0, 1], [0, 0, 1], after],
+        valid=[True, False, False, False, True],
+    )
     out = repair_blinks(traj)
     for k, frac in ((1, 0.25), (2, 0.5), (3, 0.75)):
         expect = (1 - frac) * before + frac * after
         expect /= np.linalg.norm(expect)
-        assert np.allclose(out.samples[k].left_dir, expect, atol=1e-12)
+        assert np.allclose(out.left_dir[k], expect, atol=1e-12)
 
 
 def test_repair_blinks_trims_edges():
-    traj = Trajectory(0, Task.LINEAR_PURSUIT, 90.0, [
-        make_sample(0.0, [0, 0, 1], valid=False),
-        make_sample(1.0, [0, 0, 1]),
-        make_sample(2.0, [0, 0, 1], valid=False),
-    ])
+    traj = make_trajectory([0.0, 1.0, 2.0], [0, 0, 1], valid=[False, True, False])
     out = repair_blinks(traj)
-    assert len(out) == 1 and out.samples[0].t == 1.0
+    assert len(out) == 1 and out.t[0] == 1.0
 
 
 def test_repair_blinks_all_invalid_unrecoverable():
-    traj = Trajectory(0, Task.LINEAR_PURSUIT, 90.0, [
-        make_sample(0.0, [0, 0, 1], valid=False),
-    ])
+    traj = make_trajectory([0.0], [0, 0, 1], valid=False)
     with pytest.raises(ValueError):
         repair_blinks(traj)
 
 
 def test_downsample_identity_and_counts():
-    samples = [make_sample(i / 90, [0, 0, 1]) for i in range(8100)]
-    traj = Trajectory(3, Task.ARC_PURSUIT, 90.0, samples)
-    assert downsample(traj, 1).samples == samples
+    traj = make_trajectory(np.arange(8100) / 90, [0, 0, 1], participant_id=3, task=Task.ARC_PURSUIT)
+    same = downsample(traj, 1)
+    assert same_columns(same, traj)
     half = downsample(traj, 2)
     assert len(half) == 4050
     assert half.rate_hz == 45.0
     assert half.task == Task.ARC_PURSUIT
     assert half.participant_id == 3
-    assert half.samples[0] is samples[0]
+    for c in COLUMNS:  # views, not copies
+        assert np.shares_memory(getattr(same, c), getattr(traj, c))
+        assert np.shares_memory(getattr(half, c), getattr(traj, c))
+    assert half.t[1] == traj.t[2]
 
 
 def test_downsample_composes():
-    samples = [make_sample(i / 90, [0, 0, 1]) for i in range(100)]
-    traj = Trajectory(0, Task.LINEAR_PURSUIT, 90.0, samples)
+    traj = make_trajectory(np.arange(100) / 90, [0, 0, 1])
     twice = downsample(downsample(traj, 2), 2)
     once = downsample(traj, 4)
-    assert twice.samples == once.samples
+    assert same_columns(twice, once)
     assert twice.rate_hz == once.rate_hz
 
 
 def test_downsample_rejects_bad_factor():
-    traj = Trajectory(0, Task.LINEAR_PURSUIT, 90.0, [make_sample(0.0, [0, 0, 1])])
+    traj = make_trajectory([0.0], [0, 0, 1])
     with pytest.raises(ValueError):
         downsample(traj, 0)
 
@@ -240,9 +210,7 @@ def test_generate_is_deterministic():
         t1, o1 = generate_task(task, SHORT, seed=42)
         t2, o2 = generate_task(task, SHORT, seed=42)
         assert np.array_equal(t1.pos, t2.pos)
-        for a, b in zip(o1.samples, o2.samples):
-            assert np.array_equal(a.head_dir, b.head_dir)
-            assert np.array_equal(a.left_dir, b.left_dir)
+        assert same_columns(o1, o2)
 
 
 def test_linear_pursuit_speed():
@@ -296,11 +264,11 @@ def test_rapid_search_fixation_interval():
 def test_oracle_eyes_intersect_target():
     for task in (Task.LINEAR_PURSUIT, Task.RAPID_AVOIDANCE):
         track, oracle = generate_task(task, SHORT, seed=4)
-        assert all(s.valid for s in oracle.samples)
+        assert oracle.valid.all()
         for i in range(0, len(oracle), 37):
-            s = oracle.samples[i]
             target = track.pos[i]
-            for origin, direction in ((s.left_origin, s.left_dir), (s.right_origin, s.right_dir)):
+            for origin, direction in ((oracle.left_origin[i], oracle.left_dir[i]),
+                                      (oracle.right_origin[i], oracle.right_dir[i])):
                 w = target - origin
                 miss = np.linalg.norm(w - (w @ direction) * direction)
                 assert miss < 1e-6
@@ -308,7 +276,7 @@ def test_oracle_eyes_intersect_target():
 
 def test_oracle_head_follows_gaze():
     _, oracle = generate_task(Task.LINEAR_PURSUIT, TaskConfig(duration=10.0), seed=6)
-    dirs = np.array([s.head_dir for s in oracle.samples])
+    dirs = oracle.head_dir
     assert np.linalg.norm(dirs[0] - [0, 0, 1]) < 1e-12
     moved = np.linalg.norm(dirs - dirs[0], axis=1)
     assert moved.max() > 0.05  # the head actually pursues
@@ -316,7 +284,7 @@ def test_oracle_head_follows_gaze():
 
 def test_split_counts_and_partition():
     stubs = [
-        Trajectory(pid, Task.LINEAR_PURSUIT, 90.0, [])
+        stub(pid, Task.LINEAR_PURSUIT)
         for pid in range(25)
         for _ in range(12)
     ]
@@ -328,7 +296,7 @@ def test_split_counts_and_partition():
 
 
 def test_split_empty_test():
-    stubs = [Trajectory(pid, Task.ARC_PURSUIT, 90.0, []) for pid in range(5)]
+    stubs = [stub(pid, Task.ARC_PURSUIT) for pid in range(5)]
     spec = SplitSpec(frozenset(range(5)), frozenset())
     train, test = split(stubs, spec)
     assert len(train) == 5 and test == []
@@ -336,7 +304,7 @@ def test_split_empty_test():
 
 def test_split_disjoint_over_random_specs():
     rng = np.random.default_rng(71)
-    stubs = [Trajectory(pid, Task.RAPID_SEARCH, 90.0, []) for pid in range(20)]
+    stubs = [stub(pid, Task.RAPID_SEARCH) for pid in range(20)]
     for _ in range(20):
         ids = rng.permutation(20)
         cut = rng.integers(1, 19)
@@ -351,7 +319,7 @@ def test_split_overlap_rejected():
 
 
 def test_split_uncovered_participant_rejected():
-    stubs = [Trajectory(9, Task.RAPID_SEARCH, 90.0, [])]
+    stubs = [stub(9, Task.RAPID_SEARCH)]
     with pytest.raises(ValueError):
         split(stubs, SplitSpec(frozenset({1}), frozenset({2})))
 
@@ -386,9 +354,7 @@ def generator_digest(config, trials_per_task, seed=1000):
     h = hashlib.sha256()
     for pid in range(3):
         for traj in generate_participant(pid, TASK_ORDER, trials_per_task, config, seed):
-            samples = traj.samples
-            columns = [np.array([s.t for s in samples]), np.array([s.valid for s in samples])]
-            columns += [np.array([getattr(s, f) for s in samples]) for f in _FINGERPRINT_FIELDS]
+            columns = [traj.t, traj.valid, *(getattr(traj, f) for f in _FINGERPRINT_FIELDS)]
             h.update(f"{traj.participant_id} {traj.task.value} {traj.rate_hz!r}\n".encode())
             h.update(b"".join(c.tobytes() for c in columns))
     return h.hexdigest()
@@ -458,7 +424,7 @@ def test_non_unit_head_direction_is_rejected(tmp_path):
 def test_off_unit_gaze_on_a_blink_row_loads(tmp_path):
     path = tmp_path / "blink.jsonl"
     path.write_text("\n".join([HEADER, sample_row(0.0), sample_row(0.1, ld=[0.0, 0.0, 0.8], valid=False)]))
-    assert [s.valid for s in load_trajectories(path)[0].samples] == [True, False]
+    assert load_trajectories(path)[0].valid.tolist() == [True, False]
 
 
 def test_null_in_valid_gaze_is_rejected(tmp_path):
@@ -469,6 +435,8 @@ def test_null_in_valid_gaze_is_rejected(tmp_path):
 @pytest.mark.parametrize("header", [
     '{"participant": null, "task": "linear-pursuit", "rate_hz": 90.0}',
     '{"participant": 0, "task": "linear-pursuit", "rate_hz": null}',
+    '{"participant": 1e999, "task": "linear-pursuit", "rate_hz": 90.0}',
+    '{"participant": 0, "task": "linear-pursuit", "rate_hz": 1%s}' % ("0" * 400),
 ])
 def test_null_header_field_reports_line(tmp_path, header):
     err = load_error(tmp_path, [header, sample_row(0.0)])
@@ -478,3 +446,109 @@ def test_null_header_field_reports_line(tmp_path, header):
 def test_integer_too_large_for_a_float_reports_line(tmp_path):
     err = load_error(tmp_path, [HEADER, sample_row(0.0), sample_row(0.1, lo=[10**400, 0, 0])])
     assert err.line_number == 3 and err.reason.startswith("malformed sample row")
+
+
+def test_zero_gaze_on_a_blink_row_loads(tmp_path):
+    path = tmp_path / "blink.jsonl"
+    path.write_text("\n".join([HEADER, sample_row(0.0), sample_row(0.1, ld=[0, 0, 0], rd=[0, 0, 0], valid=False)]))
+    loaded = load_trajectories(path)[0]
+    assert loaded.valid.tolist() == [True, False] and not loaded.left_dir[1].any()
+
+
+def raw_row(key, text, **fields):
+    """sample_row(0.1, **fields) with the value of key written as raw JSON text."""
+    row = json.loads(sample_row(0.1, **fields))
+    row[key] = "@"
+    return json.dumps(row).replace('"@"', text)
+
+
+@pytest.mark.parametrize("line, reason", [
+    (sample_row(0.1, head_pos=[0.0, None, 0.0]), "field head_pos is not a number"),
+    (sample_row(0.1, lo=[None, 0.0, 0.0]), "field left_origin is not a number"),
+    (sample_row(0.1, ld=[0.0, 0.0, None], valid=False), "field left_dir is not a number"),
+    (raw_row("t", "1e999"), "field t is not finite"),
+    (raw_row("t", "-1e999"), "field t is not finite"),
+    (raw_row("head_pos", "[1e999, 0.0, 0.0]"), "field head_pos is not finite"),
+    (raw_row("ro", "[0.0, -1e999, 0.0]"), "field right_origin is not finite"),
+    (raw_row("rd", "[0.0, 0.0, 1e999]", valid=False), "field right_dir is not finite"),
+    (sample_row("0.1"), "field t is not a number"),
+    (sample_row(True), "field t is not a number"),
+    (sample_row(0.1, ld=["0", "0", "1"]), "field left_dir is not a number"),
+    (sample_row(0.1, head_pos=[True, 0.0, 0.0]), "field head_pos is not a number"),
+])
+def test_non_numeric_or_non_finite_field_is_rejected(tmp_path, line, reason):
+    err = load_error(tmp_path, [HEADER, sample_row(0.0), line, sample_row(0.2)])
+    assert err.line_number == 3 and err.reason == reason
+
+
+def blinked_and_reloaded(tmp_path, seed):
+    """A generated trajectory with seeded blink runs (invalid, zero gaze,
+    as an eye tracker reports a closed eye) and a few valid rows with
+    collapsed gaze, saved and loaded back, so the collapsed rows load as
+    blinks. Odd seeds get a leading run, seeds not divisible by 3 a
+    trailing one; every trajectory gets an isolated one-sample run."""
+    _, traj = generate_task(TASK_ORDER[seed % 4], TaskConfig(duration=1.0), seed=seed)
+    rng = np.random.default_rng(seed)
+    n = len(traj)
+    blink = np.zeros(n, dtype=bool)
+    if seed % 2:
+        blink[: rng.integers(1, 6)] = True
+    if seed % 3:
+        blink[n - rng.integers(1, 6) :] = True
+    for length in rng.integers(1, 8, size=3):
+        begin = rng.integers(8, n - 16)
+        blink[begin : begin + length] = True
+    blink[n // 2 - 1 : n // 2 + 2] = [False, True, False]
+    traj.valid[blink] = False
+    traj.left_dir[blink] = 0.0
+    traj.right_dir[blink] = 0.0
+    collapsed = rng.choice(np.flatnonzero(~blink[8:-8]) + 8, size=2, replace=False)
+    traj.right_dir[collapsed] *= 0.1
+    path = tmp_path / f"blinked{seed}.jsonl"
+    save_trajectories(traj, path)
+    loaded = load_trajectories(path)[0]
+    assert not loaded.valid[collapsed].any()
+    return loaded
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_repair_blinks_matches_the_per_sample_loop_bitwise(tmp_path, seed):
+    traj = blinked_and_reloaded(tmp_path, seed)
+    assert traj.valid[0] == (seed % 2 == 0) and traj.valid[-1] == (seed % 3 == 0)
+    assert not traj.valid[len(traj) // 2] and traj.valid[len(traj) // 2 + 1]
+    repaired = repair_blinks(traj)
+    assert repaired.valid.all()
+    assert same_columns(repaired, repair_blinks_loop(traj))
+
+
+def test_samples_view_writes_reach_the_columns_and_the_file(tmp_path):
+    # the benchmark's pattern: blinks injected through traj.samples (len,
+    # index, attribute write), then saved, loaded and fingerprinted
+    # through traj.samples (attribute reads)
+    traj = generate_participant(0, TASK_ORDER[:1], 1, TaskConfig(duration=1.0), seed=3)[0]
+    n = len(traj.samples)
+    assert n == len(traj) and traj.samples is traj.samples
+    blinks = [0, 7, 8, 9, n - 1]
+    for i in blinks:
+        sample = traj.samples[i]
+        sample.valid = False
+        sample.left_dir = np.zeros(3)
+        sample.right_dir = np.zeros(3)
+    expect = np.ones(n, dtype=bool)
+    expect[blinks] = False
+    assert np.array_equal(traj.valid, expect)
+    assert not traj.left_dir[blinks].any() and not traj.right_dir[blinks].any()
+    assert traj.samples[8].valid is False and not traj.samples[8].right_dir.any()
+    path = tmp_path / "t.jsonl"
+    save_trajectories(traj, path)
+    loaded = load_trajectories(path)[0]
+    assert np.array_equal(loaded.valid, expect)
+
+    def fingerprint(traj):
+        samples = traj.samples
+        columns = [np.array([s.t for s in samples]), np.array([s.valid for s in samples])]
+        columns += [np.array([getattr(s, f) for s in samples]) for f in _FINGERPRINT_FIELDS]
+        return b"".join(c.tobytes() for c in columns)
+
+    assert fingerprint(loaded) == fingerprint(traj)
+    assert fingerprint(traj) == b"".join(getattr(traj, c).tobytes() for c in ("t", "valid", *_FINGERPRINT_FIELDS))

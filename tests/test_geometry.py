@@ -13,7 +13,6 @@ from gazehead.geometry import (
     dir_to_pitch_yaw,
     focal_point,
     head_rotation,
-    interpolate_blink,
     norm,
     normalize,
     norms,
@@ -21,7 +20,7 @@ from gazehead.geometry import (
     rotate_head,
     vec3,
 )
-from oracles import grid_closest_point
+from oracles import grid_closest_point, interpolate_blink
 
 
 def random_unit(rng):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -15,7 +16,7 @@ from gazehead.controllers import (
     VectorController,
     VectorParams,
 )
-from gazehead.dataset import GazeSample, Task, TaskConfig, Trajectory, generate_task
+from gazehead.dataset import COLUMNS, Task, TaskConfig, generate_task
 from gazehead import rollout as rollout_module
 from gazehead.geometry import dir_to_pitch_yaw, focal_points, head_rotation, normalize, vec3
 from gazehead.rollout import (
@@ -28,7 +29,7 @@ from gazehead.rollout import (
 )
 from gazehead.nn import DenseNet, LstmNet
 from gazehead.training import TrainConfig, fit, head_deltas
-from oracles import ZeroController, focal_point_scalar, focal_points_loop, rollout_loop
+from oracles import ZeroController, focal_point_scalar, focal_points_loop, make_trajectory, rollout_loop
 
 QUIET = RolloutConfig(noise_sigma_deg=0.0, seed=1)
 
@@ -73,20 +74,7 @@ class FaultyController(Controller):
 
 
 def converged_traj(n=20):
-    samples = []
-    for i in range(n):
-        samples.append(
-            GazeSample(
-                t=i / 90.0,
-                head_pos=vec3(0, 0, 0),
-                head_dir=vec3(0, 0, 1),
-                left_origin=vec3(-0.03, 0, 0),
-                left_dir=normalize(vec3(0.03, 0, 2)),
-                right_origin=vec3(0.03, 0, 0),
-                right_dir=normalize(vec3(-0.03, 0, 2)),
-            )
-        )
-    return Trajectory(0, Task.LINEAR_PURSUIT, 90.0, samples)
+    return make_trajectory(np.arange(n) / 90.0, normalize(vec3(0.03, 0, 2)), normalize(vec3(-0.03, 0, 2)))
 
 
 def test_focal_points_constant_for_converged_eyes():
@@ -104,17 +92,16 @@ def test_focal_points_match_generator_targets():
 
 def test_focal_points_degenerate_first_sample_raises():
     traj = converged_traj(5)
-    for s in traj.samples:
-        s.left_dir = vec3(0, 0, 1)
-        s.right_dir = vec3(0, 0, 1)
+    traj.left_dir[:] = vec3(0, 0, 1)
+    traj.right_dir[:] = vec3(0, 0, 1)
     with pytest.raises(ValueError):
         precompute_focal_points(traj)
 
 
 def test_focal_points_inherit_previous_on_degenerate():
     traj = converged_traj(5)
-    traj.samples[3].left_dir = vec3(0, 0, 1)
-    traj.samples[3].right_dir = vec3(0, 0, 1)
+    traj.left_dir[3] = vec3(0, 0, 1)
+    traj.right_dir[3] = vec3(0, 0, 1)
     points = precompute_focal_points(traj)
     assert np.array_equal(points[3], points[2])
 
@@ -130,7 +117,7 @@ def test_replay_controller_tracks_exactly():
 def test_zero_controller_closed_form():
     _, oracle = generate_task(Task.LINEAR_PURSUIT, TaskConfig(duration=2.0), seed=8)
     result = rollout(ZeroController(), oracle, QUIET)
-    dirs = np.array([s.head_dir for s in oracle.samples])
+    dirs = oracle.head_dir
     expect = float(np.mean(np.sum((dirs[0] - dirs) ** 2, axis=1)))
     assert abs(result.mse - expect) < 1e-12
 
@@ -251,7 +238,7 @@ def test_lstm_rollout_ticks_at_its_trained_rate():
 
     controller.step_rows = recording
     result = rollout(controller, traj, QUIET)
-    n = len(traj.samples)
+    n = len(traj)
     assert dts == [(1.0 / traj.rate_hz) * 3] * len(range(0, n - 1, 3))
     moved = [t for t in range(n - 1) if not np.array_equal(result.imputed[t + 1], result.imputed[t])]
     assert moved == list(range(0, n - 1, 3))
@@ -279,7 +266,7 @@ def degenerate_interior_traj():
     the focal point of sample 39."""
     _, traj = generate_task(Task.ARC_PURSUIT, TaskConfig(duration=2.0), seed=12)
     traj.participant_id = 3
-    traj.samples[40].right_dir = traj.samples[40].left_dir.copy()
+    traj.right_dir[40] = traj.left_dir[40]
     return traj
 
 
@@ -313,7 +300,7 @@ def test_rollout_matches_step_loop_oracle_bitwise(sigma):
 
 
 def truncated(traj, n):
-    return Trajectory(traj.participant_id, traj.task, traj.rate_hz, traj.samples[:n])
+    return dataclasses.replace(traj, **{c: getattr(traj, c)[:n] for c in COLUMNS})
 
 
 @functools.cache
@@ -411,8 +398,8 @@ def test_parallel_axis_draw_is_redrawn_and_the_right_eye_reads_after_it(monkeypa
     traj = truncated(degenerate_interior_traj(), 12)
     sigma = 0.5
     # the left eye's direction at the first step, as rollout_loop aims it
-    pitch, yaw = dir_to_pitch_yaw(traj.samples[0].head_dir)
-    origin = traj.samples[0].head_pos + head_rotation(pitch, yaw) @ np.array([-0.03, 0.0, 0.0])
+    pitch, yaw = dir_to_pitch_yaw(traj.head_dir[0])
+    origin = traj.head_pos[0] + head_rotation(pitch, yaw) @ np.array([-0.03, 0.0, 0.0])
     left = focal_points_loop(traj)[0] - origin
     left = left / np.linalg.norm(left)
     values = np.random.default_rng(8).standard_normal(400)

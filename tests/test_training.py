@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from gazehead.controllers import (
     VectorParams,
     symmetric_control_law,
 )
-from gazehead.dataset import Task, TaskConfig, downsample, generate_participant, generate_task
+from gazehead.dataset import COLUMNS, Task, TaskConfig, downsample, generate_participant, generate_task
 from gazehead.geometry import pitch_yaw_to_dir, vec3
 from gazehead.nn import DenseNet
 from gazehead.training import (
@@ -26,45 +27,16 @@ from gazehead.training import (
     predicted_deltas,
     zero_baseline_loss,
 )
-from oracles import ZeroController, rel_err
+from oracles import ZeroController, make_trajectory, rel_err
 
 
 def static_head_traj(n=50, rate=90.0):
-    from gazehead.dataset import GazeSample, Trajectory
-
-    samples = [
-        GazeSample(
-            t=i / rate,
-            head_pos=vec3(0, 0, 0),
-            head_dir=vec3(0, 0, 1),
-            left_origin=vec3(-0.03, 0, 0),
-            left_dir=vec3(0, 0, 1),
-            right_origin=vec3(0.03, 0, 0),
-            right_dir=vec3(0, 0, 1),
-        )
-        for i in range(n)
-    ]
-    return Trajectory(0, Task.LINEAR_PURSUIT, rate, samples)
+    return make_trajectory(np.arange(n) / rate, vec3(0, 0, 1), rate_hz=rate)
 
 
 def constant_delta_traj(dpitch, dyaw, n=50, rate=90.0):
-    from gazehead.dataset import GazeSample, Trajectory
-
-    samples = []
-    for i in range(n):
-        d = pitch_yaw_to_dir(i * dpitch, i * dyaw)
-        samples.append(
-            GazeSample(
-                t=i / rate,
-                head_pos=vec3(0, 0, 0),
-                head_dir=d,
-                left_origin=vec3(-0.03, 0, 0),
-                left_dir=d,
-                right_origin=vec3(0.03, 0, 0),
-                right_dir=d,
-            )
-        )
-    return Trajectory(0, Task.LINEAR_PURSUIT, rate, samples)
+    d = [pitch_yaw_to_dir(i * dpitch, i * dyaw) for i in range(n)]
+    return make_trajectory(np.arange(n) / rate, d, head_dir=d, rate_hz=rate)
 
 
 class ReplayController(Controller):
@@ -153,22 +125,9 @@ def test_teacher_forcing_inputs_ignore_predictions():
 def test_head_deltas_unwrap_yaw_across_180():
     # a head turning left through 180 degrees: yaw 179.5 -> -179.0 is a
     # +1.5 degree step, not -358.5
-    from gazehead.dataset import GazeSample, Trajectory
-
     yaws = [math.radians(v) for v in (178.0, 179.5, -179.0, -177.5)]
-    samples = [
-        GazeSample(
-            t=i / 90.0,
-            head_pos=vec3(0, 0, 0),
-            head_dir=pitch_yaw_to_dir(0.0, yaw),
-            left_origin=vec3(-0.03, 0, 0),
-            left_dir=vec3(0, 0, 1),
-            right_origin=vec3(0.03, 0, 0),
-            right_dir=vec3(0, 0, 1),
-        )
-        for i, yaw in enumerate(yaws)
-    ]
-    deltas = head_deltas(Trajectory(0, Task.LINEAR_PURSUIT, 90.0, samples))
+    head = [pitch_yaw_to_dir(0.0, yaw) for yaw in yaws]
+    deltas = head_deltas(make_trajectory(np.arange(4) / 90.0, vec3(0, 0, 1), head_dir=head))
     assert np.allclose(deltas[:, 1], math.radians(1.5), atol=1e-12)
     assert np.allclose(deltas[:, 0], 0.0, atol=1e-12)
 
@@ -344,3 +303,18 @@ def test_quadrant_training_report_is_teacher_forced_loss():
     trajs = make_dataset(1, duration=4.0)
     controller, report = fit(TrainConfig(family="quadrant"), trajs, trajs)
     assert report.test_mse == pytest.approx(dataset_loss(controller, trajs))
+
+
+@pytest.mark.parametrize("duration", [2.0, 2.0 + 1 / 90, 30.0])
+def test_downsampled_views_give_the_bits_of_contiguous_copies(duration):
+    # downsample returns strided views, which the LSTM path feeds to
+    # net_inputs and head_deltas; they must give the bits of contiguous
+    # copies of the same rows
+    config = TaskConfig(duration=duration, motor_noise_rms=20.0, motor_noise_tau=0.5)
+    for task in Task:
+        _, traj = generate_task(task, config, seed=11)
+        slow = downsample(traj, TrainConfig().lstm_downsample)
+        assert not slow.head_dir.flags.c_contiguous
+        copy = dataclasses.replace(slow, **{c: np.ascontiguousarray(getattr(slow, c)) for c in COLUMNS})
+        assert net_inputs(slow).tobytes() == net_inputs(copy).tobytes()
+        assert head_deltas(slow).tobytes() == head_deltas(copy).tobytes()
