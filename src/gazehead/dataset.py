@@ -60,7 +60,9 @@ COLUMNS = ("t", *_VECTORS, "valid")
 @dataclass(eq=False)  # a field-wise == of arrays has no single truth value
 class Trajectory:
     """One trial: its header and its columns (see the module docstring),
-    float64 arrays and a bool ``valid``."""
+    float64 arrays and a bool ``valid``. Once ``samples`` is built, write
+    the columns only through its rows, whose scalar ``t`` and ``valid`` go
+    stale otherwise (``downsample`` and ``repair_blinks`` may return views)."""
 
     participant_id: int
     task: Task
@@ -80,9 +82,9 @@ class Trajectory:
 
     @property
     def samples(self):
-        """The samples as rows with one attribute per column, built on the
-        first access. For the benchmark, which still reads and writes
-        trajectories row by row; a write lands in the columns."""
+        """The samples as rows, one attribute per column, built on first
+        access, for the benchmark; a write lands in the columns, and after
+        the first access must go through the rows (see the class)."""
         if self._rows is None:
             columns = {name: getattr(self, name) for name in COLUMNS}
             vectors = (columns[name] for name in _VECTORS)
@@ -369,10 +371,7 @@ def repair_blinks(traj: Trajectory) -> Trajectory:
         for name in ("left_dir", "right_dir"):
             gaze = columns[name].copy()
             blend = (1.0 - fraction) * gaze[before] + fraction * gaze[after]
-            n = norms(blend)
-            if np.any(n < 1e-9):
-                raise ValueError("cannot interpolate between antiparallel directions")
-            gaze[gaps] = blend / n[:, None]
+            gaze[gaps] = normalize_rows(blend)
             columns[name] = gaze
         columns["valid"] = np.ones(len(t), dtype=bool)
     return replace(traj, **columns)

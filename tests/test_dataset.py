@@ -176,6 +176,13 @@ def test_repair_blinks_all_invalid_unrecoverable():
         repair_blinks(traj)
 
 
+def test_repair_blinks_antiparallel_raises():
+    traj = make_trajectory([0.0, 1.0, 2.0], [[0, 0, 1], [0, 0, 1], [0, 0, -1]],
+                           valid=[True, False, True])
+    with pytest.raises(ValueError, match="near-zero"):
+        repair_blinks(traj)
+
+
 def test_downsample_identity_and_counts():
     traj = make_trajectory(np.arange(8100) / 90, [0, 0, 1], participant_id=3, task=Task.ARC_PURSUIT)
     same = downsample(traj, 1)
