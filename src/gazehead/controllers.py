@@ -138,8 +138,11 @@ class Controller:
     the bits ``step`` would give it.
 
     predict() is the teacher-forced counterpart, the one place a family's
-    maths meets a whole trajectory: (T-1, 9) ground-truth inputs from
-    ``training.net_inputs`` and tick length dt -> (T-1, 2) radians.
+    maths meets whole trajectories, all of a loss's at once: an iterable
+    of (T_k - 1, 9) ground-truth inputs from ``training.net_inputs`` and
+    the list of their tick lengths -> the list of (T_k - 1, 2) commands in
+    radians. Each trajectory starts from the family's fresh state, and
+    the controller's own state and fault latch are left alone.
     """
 
     family = "base"
@@ -172,7 +175,7 @@ class Controller:
         self.faulted = latched or bool(faults.any())
         return out, faults
 
-    def predict(self, x, dt):
+    def predict(self, xs, dts):
         raise TypeError(f"{type(self).__name__} has no teacher-forced prediction")
 
     def _guard(self, dpitch, dyaw):
@@ -223,9 +226,12 @@ class _LawController(Controller):
             out[k] = self._command(unit, row_dt)
         return out, self._guard_rows(out)
 
-    def predict(self, x, dt):
+    def predict(self, xs, dts):
         law, params = self.law, self.params
-        return np.radians([law(params, p, y, dt) for p, y in gaze_angles(x).tolist()])
+        return [
+            np.radians([law(params, p, y, dt) for p, y in gaze_angles(x).tolist()]).reshape(-1, 2)
+            for x, dt in zip(xs, dts)
+        ]
 
 
 class QuadrantController(_LawController):
@@ -266,8 +272,8 @@ class MlpController(Controller):
         out = self.net.forward_rows(x) * (dt * self.train_rate_hz)[:, None]
         return out, self._guard_rows(out)
 
-    def predict(self, x, dt):
-        return self.net.forward_batch(x) * (dt * self.train_rate_hz)
+    def predict(self, xs, dts):
+        return [self.net.forward_batch(x) * (dt * self.train_rate_hz) for x, dt in zip(xs, dts)]
 
 
 class LstmController(Controller):
@@ -323,16 +329,28 @@ class LstmController(Controller):
         state.cell[rows[keep]] = cell[keep]
         return out, faults
 
-    def predict(self, x, dt):
-        if self.net.input_size == 6:
-            x = combined_inputs(x)
-        scale = dt * self.train_rate_hz
-        pred = np.empty((x.shape[0], 2))
-        state = LstmState.zeros(self.net.hidden_size)
-        for i in range(x.shape[0]):
-            y, state = self.net.step(state, x[i])
-            pred[i] = y * scale
-        return pred
+    def predict(self, xs, dts):
+        """All sequences advance together through ``net.step_rows``, longest
+        first, so the rows still running are a prefix that shrinks as
+        shorter sequences end; each row gets the bits of ``net.step``."""
+        xs = [combined_inputs(x) if self.net.input_size == 6 else x for x in xs]
+        lengths = [len(x) for x in xs]
+        order = sorted(range(len(xs)), key=lambda k: -lengths[k])
+        inputs = np.zeros((max(lengths, default=0), len(xs), self.net.input_size))
+        for j, k in enumerate(order):
+            inputs[: lengths[k], j] = xs[k]
+        ys = np.empty((len(inputs), len(xs), 2))
+        hidden = np.zeros((len(xs), self.net.hidden_size))
+        cell = np.zeros_like(hidden)
+        live = len(xs)
+        for t, x in enumerate(inputs):
+            while lengths[order[live - 1]] <= t:
+                live -= 1
+            ys[t, :live], hidden, cell = self.net.step_rows(hidden[:live], cell[:live], x[:live])
+        preds = [None] * len(xs)
+        for j, k in enumerate(order):
+            preds[k] = ys[: lengths[k], j] * (dts[k] * self.train_rate_hz)
+        return preds
 
 
 def save_controller(controller: Controller, path, checkpoint_path=None, extra_config=None):

@@ -167,8 +167,10 @@ def _reject_constant(token):
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 # JSON numbers decode to these; a bool, a string or a null in a numeric
-# field is an error, though float() would take some of them
+# field is an error, though float() would take some of them. Likewise the
+# valid flag must be a JSON bool, not something with a truth value.
 _NUMBERS = frozenset((int, float))
+_BOOLS = frozenset((bool,))
 
 # a loaded direction this close to unit length counts as unit
 UNIT_TOLERANCE = 1e-6
@@ -201,7 +203,7 @@ def _check_row(row, line_number):
     sample row on its own."""
     try:
         vectors = [np.array(row[key], dtype=float) for key in _KEYS]
-        bool(row["valid"])
+        valid = row["valid"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise _malformed(exc, line_number) from exc
     for name, vector in zip(_VECTORS, vectors):
@@ -210,6 +212,8 @@ def _check_row(row, line_number):
     for name, values in zip(COLUMNS, [[row["t"]], *(row[key] for key in _KEYS)]):
         if not _NUMBERS.issuperset(map(type, values)):
             raise TrajectoryFormatError(f"field {name} is not a number", line_number)
+    if type(valid) is not bool:
+        raise TrajectoryFormatError("field valid is not a bool", line_number)
 
 
 def _sample_columns(rows, line_numbers, times):
@@ -217,18 +221,22 @@ def _sample_columns(rows, line_numbers, times):
     and their timestamps.
 
     Raises TrajectoryFormatError for the first bad row: a malformed row, a
-    value that is not a number or not finite, or a direction that is not
-    unit length (head_dir on every row, the gaze only on valid rows). A
-    valid row whose gaze has collapsed (norm below 0.5) is reclassified as
-    a blink first.
+    value that is not a number or not finite, a valid flag that is not a
+    bool, or a direction that is not unit length (head_dir on every row,
+    the gaze only on valid rows). A valid row whose gaze has collapsed
+    (norm below 0.5) is reclassified as a blink first.
     """
     n = len(rows)
     try:
         raw = [[row[key] for row in rows] for key in _KEYS]
         vectors = [np.array(values, dtype=float) for values in raw]
-        valid = np.array([bool(row["valid"]) for row in rows])
-        malformed = any(column.shape != (n, 3) for column in vectors) or not _NUMBERS.issuperset(
-            map(type, chain([row["t"] for row in rows], *map(chain.from_iterable, raw)))
+        flags = [row["valid"] for row in rows]
+        malformed = (
+            any(column.shape != (n, 3) for column in vectors)
+            or not _NUMBERS.issuperset(
+                map(type, chain([row["t"] for row in rows], *map(chain.from_iterable, raw)))
+            )
+            or not _BOOLS.issuperset(map(type, flags))
         )
     except (KeyError, TypeError, ValueError, OverflowError):
         malformed = True
@@ -243,6 +251,7 @@ def _sample_columns(rows, line_numbers, times):
                     _sample_columns(rows[:m], line_numbers[:m], times[:m])
                 raise
     t = np.array(times, dtype=float)
+    valid = np.array(flags, dtype=bool)
     # one row per sample: the lengths of head_dir, left_dir and right_dir
     lengths = np.column_stack([norms(vectors[1]), norms(vectors[3]), norms(vectors[5])])
     valid &= ~np.any(lengths[:, 1:] < 0.5, axis=1)
@@ -271,10 +280,11 @@ def load_trajectories(path):
 
     Raises TrajectoryFormatError with the path and the offending line
     number for malformed rows, NaN or Infinity tokens, numeric fields that
-    hold a bool, a string or a null, or that overflow to infinity, a
-    rate_hz that is not positive and finite, non-monotonic timestamps, or a
-    head or (on a valid row) gaze direction more than UNIT_TOLERANCE off
-    unit length. Rows whose gaze has collapsed load as blinks.
+    hold a bool, a string or a null, or that overflow to infinity, a valid
+    flag that is not a bool, a participant that is not an integer, a
+    rate_hz that is not a positive finite number, non-monotonic timestamps,
+    or a head or (on a valid row) gaze direction more than UNIT_TOLERANCE
+    off unit length. Rows whose gaze has collapsed load as blinks.
     """
     with open(path, encoding="utf-8") as f:
         try:
@@ -313,8 +323,16 @@ def _parse_lines(f):
                     pending = rows, line_numbers, times
                     rows, line_numbers, times = [], [], []
                     trajectories.append(Trajectory(*header, *_sample_columns(*pending)))
+                # int() and float() would also take a bool, a fractional
+                # participant or a numeric string
+                for name, kind, types in (("participant", "an integer", {int}),
+                                          ("rate_hz", "a number", _NUMBERS)):
+                    if type(row.get(name)) not in types:
+                        raise TrajectoryFormatError(
+                            f"malformed header (field {name} is not {kind})", line_number
+                        )
                 try:
-                    header = int(row["participant"]), Task(row["task"]), float(row["rate_hz"])
+                    header = row["participant"], Task(row["task"]), float(row["rate_hz"])
                 except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     raise TrajectoryFormatError(f"malformed header ({exc})", line_number) from exc
                 rate_hz = header[2]

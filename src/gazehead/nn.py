@@ -14,8 +14,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
+def _sigmoid(z, out=None):
+    """1 / (1 + exp(-z)), computed in ``out`` when given."""
+    out = np.negative(z, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
+
+
+def _lstm_gates(z, hs, out=None):
+    """Gate activations of LSTM preactivations z (..., 4H), laid out [input,
+    forget, candidate, output]: one _sigmoid over all 4H, then tanh over
+    the candidate slice. Elementwise, so each element gets the bits of
+    per-slice _sigmoid and tanh calls."""
+    out = _sigmoid(z, out)
+    np.tanh(z[..., 2 * hs : 3 * hs], out=out[..., 2 * hs : 3 * hs])
+    return out
 
 
 def _init_uniform(rng, shape, fan_in):
@@ -158,12 +172,9 @@ class LstmNet:
     def _advance(self, z, cell):
         """Gates from preactivations z (..., 4H), then the new (hidden, cell)."""
         hs = self.hidden_size
-        i = _sigmoid(z[..., :hs])
-        f = _sigmoid(z[..., hs : 2 * hs])
-        g = np.tanh(z[..., 2 * hs : 3 * hs])
-        o = _sigmoid(z[..., 3 * hs :])
-        cell = f * cell + i * g
-        return o * np.tanh(cell), cell
+        a = _lstm_gates(z, hs)
+        cell = a[..., hs : 2 * hs] * cell + a[..., :hs] * a[..., 2 * hs : 3 * hs]
+        return a[..., 3 * hs :] * np.tanh(cell), cell
 
     def step_rows(self, hidden, cell, x):
         """One step of K independent sequences: (K, H) hidden and cell
@@ -188,7 +199,9 @@ class LstmNet:
 
         The input half of the gate preactivations, the output projection,
         and the weight-gradient accumulation are batched over the whole
-        sequence; only the recurrent half runs step by step.
+        sequence; only the recurrent half runs step by step, and the
+        backward loop finds every factor of the gate gradients that does
+        not depend on the recurrence precomputed over all T steps.
         """
         x = np.asarray(inputs, dtype=float)
         d = np.asarray(targets, dtype=float)
@@ -198,34 +211,18 @@ class LstmNet:
         w_h = self.w[:, self.input_size :]
         zx = x @ w_x.T + self.b  # (T, 4H) input-side preactivations
 
-        gates_i = np.empty((t_steps, hs))
-        gates_f = np.empty((t_steps, hs))
-        gates_g = np.empty((t_steps, hs))
-        gates_o = np.empty((t_steps, hs))
+        gates = np.empty((t_steps, 4 * hs))  # [i, f, g, o] per step
         tanh_cs = np.empty((t_steps, hs))
-        hiddens = np.empty((t_steps, hs))
-        h_prevs = np.empty((t_steps, hs))
-        c_prevs = np.empty((t_steps, hs))
-        h = np.zeros(hs)
-        c = np.zeros(hs)
+        hiddens = np.zeros((t_steps + 1, hs))  # row t is the state before step t
+        cells = np.zeros((t_steps + 1, hs))
         for t in range(t_steps):
-            h_prevs[t] = h
-            c_prevs[t] = c
-            z = zx[t] + w_h @ h
-            i = _sigmoid(z[:hs])
-            f = _sigmoid(z[hs : 2 * hs])
-            g = np.tanh(z[2 * hs : 3 * hs])
-            o = _sigmoid(z[3 * hs :])
-            c = f * c + i * g
-            tanh_c = np.tanh(c)
-            h = o * tanh_c
-            gates_i[t] = i
-            gates_f[t] = f
-            gates_g[t] = g
-            gates_o[t] = o
-            tanh_cs[t] = tanh_c
-            hiddens[t] = h
-        ys = hiddens @ self.w_out.T + self.b_out
+            z = w_h @ hiddens[t]
+            z += zx[t]
+            a = _lstm_gates(z, hs, gates[t])
+            c = np.multiply(a[hs : 2 * hs], cells[t], out=cells[t + 1])
+            c += a[:hs] * a[2 * hs : 3 * hs]
+            np.multiply(a[3 * hs :], np.tanh(c, out=tanh_cs[t]), out=hiddens[t + 1])
+        ys = hiddens[1:] @ self.w_out.T + self.b_out
         resid = ys - d
         loss = float(np.mean(resid**2))
         if not np.isfinite(loss):
@@ -233,26 +230,46 @@ class LstmNet:
         dy = resid * (2.0 / resid.size)
         dh_from_y = dy @ self.w_out  # (T, H)
 
-        dz_all = np.empty((t_steps, 4 * hs))
+        # The per-gate formulas
+        #   dz_i = ((dc * g) * i) * (1 - i)    dz_f = ((dc * c_prev) * f) * (1 - f)
+        #   dz_g = (dc * i) * (1 - g**2)       dz_o = (do * o) * (1 - o)
+        # are, in the same left-to-right order and so with the same bits, one
+        # ((F * P) * Q) * R product over the 4H gates, with F = [dc, dc, dc, do],
+        # P = [g, c_prev, i, o], Q = [i, f, 1 - g**2, 1 - o] and
+        # R = [1 - i, 1 - f, 1, 1]; x1.0 is exact, so R keeps its first half.
+        # No block is added for them: P fills the spent preactivations'
+        # block, and step t's dz overwrites P's row t once it has been read;
+        # Q overwrites g and o in the gates block; 1 - tanh(c)**2 fills the
+        # spent cell states' block.
+        i, f, g, o = (gates[:, k * hs : (k + 1) * hs] for k in range(4))
+        p = np.concatenate([g, cells[:-1], i, o], axis=1, out=zx)
+        r = 1.0 - gates[:, : 2 * hs]
+        np.subtract(1.0, g**2, out=g)
+        np.subtract(1.0, o, out=o)
+        q, o = gates, p[:, 3 * hs :]  # o is read from P from here on
+        dtanh_cs = np.square(tanh_cs, out=cells[1:])
+        np.subtract(1.0, dtanh_cs, out=dtanh_cs)
+        dz_all = p
+        dc_do = np.empty(4 * hs)  # F = [dc, dc, dc, do]
+        dcs = dc_do[: 3 * hs].reshape(3, hs)
         dh_next = np.zeros(hs)
         dc_next = np.zeros(hs)
         w_h_t = w_h.T
         for t in range(t_steps - 1, -1, -1):
-            i, f, g, o = gates_i[t], gates_f[t], gates_g[t], gates_o[t]
-            tanh_c = tanh_cs[t]
             dh = dh_from_y[t] + dh_next
-            do = dh * tanh_c
-            dc = dh * o * (1.0 - tanh_c**2) + dc_next
-            dz = dz_all[t]
-            dz[:hs] = dc * g * i * (1.0 - i)
-            dz[hs : 2 * hs] = dc * c_prevs[t] * f * (1.0 - f)
-            dz[2 * hs : 3 * hs] = dc * i * (1.0 - g**2)
-            dz[3 * hs :] = do * o * (1.0 - o)
-            dc_next = dc * f
+            np.multiply(dh, tanh_cs[t], out=dc_do[3 * hs :])
+            dc = dh * o[t]
+            dc *= dtanh_cs[t]
+            dc += dc_next
+            dcs[...] = dc
+            dz = np.multiply(dc_do, p[t], out=dz_all[t])  # P's row t, read for the last time
+            dz *= q[t]
+            dz[: 2 * hs] *= r[t]
+            dc_next = dc * f[t]
             dh_next = w_h_t @ dz
-        dw = np.concatenate([dz_all.T @ x, dz_all.T @ h_prevs], axis=1)
+        dw = np.concatenate([dz_all.T @ x, dz_all.T @ hiddens[:-1]], axis=1)
         db = dz_all.sum(axis=0)
-        dw_out = dy.T @ hiddens
+        dw_out = dy.T @ hiddens[1:]
         db_out = dy.sum(axis=0)
         return loss, {"w": dw, "b": db, "w_out": dw_out, "b_out": db_out}
 

@@ -66,21 +66,19 @@ def net_inputs(traj: Trajectory):
     )
 
 
-def predicted_deltas(controller: Controller, traj: Trajectory):
-    """(T-1, 2) teacher-forced per-step commands in radians.
-
-    Inputs come solely from the trajectory (precomputed before stepping),
-    so a prediction can never leak into the next input.
-    """
-    return controller.predict(net_inputs(traj), 1.0 / traj.rate_hz)
-
-
 def dataset_loss(controller: Controller, trajs) -> float:
-    """Step-weighted mean teacher-forced MSE over a trajectory list."""
+    """Step-weighted mean teacher-forced MSE over a trajectory list.
+
+    The controller predicts every trajectory in one ``predict`` call. Its
+    inputs come solely from the trajectories, so a prediction can never
+    leak into the next input; they are built as ``predict`` takes them, so
+    a family that predicts one trajectory at a time holds one at a time.
+    """
+    trajs = list(trajs)
+    preds = controller.predict(map(net_inputs, trajs), [1.0 / t.rate_hz for t in trajs])
     total = 0.0
     steps = 0
-    for traj in trajs:
-        pred = predicted_deltas(controller, traj)
+    for traj, pred in zip(trajs, preds):
         resid = pred - head_deltas(traj)
         total += float(np.sum(resid**2))
         steps += resid.size

@@ -4,11 +4,13 @@ These deliberately avoid the closed-form paths in the package: the ray
 oracle is a grid search, the control-law oracle is 50-digit arithmetic,
 gradients are central finite differences. The rollout oracles are the
 plain per-sample form (np.cross, np.linalg.norm, one 3x3 solve per
-sample) that the package's faster rollout must match bit for bit, and the
+sample) that the package's faster rollout must match bit for bit. The
 blink-repair oracle is the per-sample loop that the package's columnar
-repair must match bit for bit. ZeroController, a baseline that never moves
-the head, and make_trajectory, a builder of small test trajectories, live
-here because only tests use them.
+repair must match bit for bit, and the teacher-forced LSTM oracle is the
+per-trajectory step loop that the lockstep prediction must match bit for
+bit. ZeroController, a baseline that never moves the head, and
+make_trajectory, a builder of small test trajectories, live here because
+only tests use them.
 """
 
 import math
@@ -16,9 +18,10 @@ import math
 import mpmath
 import numpy as np
 
-from gazehead.controllers import Controller
+from gazehead.controllers import Controller, combined_inputs
 from gazehead.dataset import COLUMNS, TASK_ORDER, Task, Trajectory
 from gazehead.geometry import HeadOrientation, Vec3, norm, rotate_head
+from gazehead.nn import LstmState
 
 
 class ZeroController(Controller):
@@ -29,8 +32,26 @@ class ZeroController(Controller):
     def step(self, left_dir, right_dir, head_dir, dt):
         return 0.0, 0.0
 
-    def predict(self, x, dt):
-        return np.zeros((x.shape[0], 2))
+    def predict(self, xs, dts):
+        return [np.zeros((x.shape[0], 2)) for x in xs]
+
+
+def lstm_predict_loop(controller, xs, dts):
+    """Teacher-forced LSTM commands one trajectory at a time, one net.step
+    per sample from a zero state: the per-sequence form that
+    LstmController.predict's lockstep pass must match bit for bit."""
+    net = controller.net
+    preds = []
+    for x, dt in zip(xs, dts):
+        if net.input_size == 6:
+            x = combined_inputs(x)
+        pred = np.empty((x.shape[0], 2))
+        state = LstmState.zeros(net.hidden_size)
+        for i in range(x.shape[0]):
+            y, state = net.step(state, x[i])
+            pred[i] = y * (dt * controller.train_rate_hz)
+        preds.append(pred)
+    return preds
 
 
 def make_trajectory(t, left_dir, right_dir=None, head_dir=(0.0, 0.0, 1.0), valid=True,

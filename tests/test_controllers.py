@@ -20,7 +20,7 @@ from gazehead.controllers import (
 )
 from gazehead.geometry import pitch_yaw_to_dir, vec3
 from gazehead.nn import DenseNet, LstmNet, LstmState, dense_forward
-from oracles import control_law_mp
+from oracles import control_law_mp, lstm_predict_loop
 
 QP = QuadrantParams()
 
@@ -225,11 +225,30 @@ def test_lstm_predict_leaves_a_live_controller_alone():
     for k, x in enumerate(xs):
         for ctrl, out in zip((live, control), ticks):
             out.append(ctrl.step(x[0:3], x[3:6], x[6:9], 1 / 45))
-        live.predict(xs[:3], 1 / 45)
+        live.predict([xs[:3], xs[:1]], [1 / 45, 1 / 90])
         assert live.faulted == control.faulted == (k == 3)
         assert live.state.hidden.tobytes() == control.state.hidden.tobytes()
         assert live.state.cell.tobytes() == control.state.cell.tobytes()
     assert ticks[0] == ticks[1]
+
+
+@pytest.mark.parametrize("inputs", [9, 6])
+@pytest.mark.parametrize("hidden", [2, 8, 128])
+def test_lstm_predict_equals_a_per_trajectory_step_loop(hidden, inputs):
+    # one lockstep pass over unequal lengths, in an order that is not
+    # sorted by length, with a 0-row sequence (the inputs of a 1-sample
+    # trajectory) and a tick length per trajectory
+    rng = np.random.default_rng(10 * hidden + inputs)
+    lengths = [37, 0, 121, 1, 121, 64, 2]
+    xs = [rng.normal(size=(n, 9)) for n in lengths]
+    dts = [1 / 45, 1 / 90, 1 / 30, 1 / 45, 1 / 60, 1 / 45, 1 / 90]
+    ctrl = LstmController(LstmNet(inputs, hidden, seed=hidden), train_rate_hz=45.0)
+    got = ctrl.predict(xs, dts)
+    expect = lstm_predict_loop(ctrl, xs, dts)
+    assert [p.shape for p in got] == [(n, 2) for n in lengths]
+    for p, q in zip(got, expect):
+        assert p.tobytes() == q.tobytes()
+    assert ctrl.predict([], []) == []
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -488,6 +488,45 @@ def test_non_numeric_or_non_finite_field_is_rejected(tmp_path, line, reason):
     assert err.line_number == 3 and err.reason == reason
 
 
+@pytest.mark.parametrize("flag", ['"false"', '"true"', "null", "0", "1", "[]"])
+def test_valid_flag_that_is_not_a_bool_is_rejected(tmp_path, flag):
+    # by truthiness "false" would load as a valid sample and null as a blink
+    err = load_error(tmp_path, [HEADER, sample_row(0.0), raw_row("valid", flag), sample_row(0.2)])
+    assert err.line_number == 3 and err.reason == "field valid is not a bool"
+
+
+def test_bad_valid_flag_keeps_the_first_bad_line(tmp_path):
+    off_unit = sample_row(0.1, ld=[0.0, 0.0, 0.8])
+    err = load_error(tmp_path, [HEADER, sample_row(0.0), off_unit, raw_row("valid", '"no"')])
+    assert err.line_number == 3 and "left_dir" in err.reason
+    err = load_error(tmp_path, [HEADER, raw_row("valid", '"no"').replace("0.1", "0.0", 1), off_unit])
+    assert err.line_number == 2 and err.reason == "field valid is not a bool"
+
+
+@pytest.mark.parametrize("value", ["1.7", "0.0", "true", '"0"'])
+def test_participant_that_is_not_an_integer_is_rejected(tmp_path, value):
+    # int() would load 1.7 as participant 1 and true as participant 1
+    header = '{"participant": %s, "task": "linear-pursuit", "rate_hz": 90.0}' % value
+    err = load_error(tmp_path, [HEADER, sample_row(0.0), header, sample_row(0.1)])
+    assert err.line_number == 3
+    assert err.reason == "malformed header (field participant is not an integer)"
+
+
+@pytest.mark.parametrize("value", ["true", "false", '"90"'])
+def test_rate_that_is_not_a_number_is_rejected(tmp_path, value):
+    # float() would load true as 1 Hz
+    header = '{"participant": 0, "task": "linear-pursuit", "rate_hz": %s}' % value
+    err = load_error(tmp_path, [HEADER, sample_row(0.0), header, sample_row(0.1)])
+    assert err.line_number == 3 and err.reason == "malformed header (field rate_hz is not a number)"
+
+
+def test_integer_rate_loads_as_a_float(tmp_path):
+    path = tmp_path / "int-rate.jsonl"
+    path.write_text(HEADER.replace("90.0", "90") + "\n" + sample_row(0.0) + "\n")
+    [traj] = load_trajectories(path)
+    assert type(traj.rate_hz) is float and traj.rate_hz == 90.0
+
+
 def blinked_and_reloaded(tmp_path, seed):
     """A generated trajectory with seeded blink runs (invalid, zero gaze,
     as an eye tracker reports a closed eye) and a few valid rows with

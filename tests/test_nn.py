@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -12,6 +13,7 @@ from gazehead.nn import (
     dense_forward,
     gradient_check,
     load_checkpoint,
+    _lstm_gates,
     save_checkpoint,
 )
 
@@ -106,6 +108,62 @@ def test_lstm_statefulness():
     _, s_ab = net.step(net.step(LstmState.zeros(4), a)[1], b)
     _, s_ba = net.step(net.step(LstmState.zeros(4), b)[1], a)
     assert not np.allclose(s_ab.hidden, s_ba.hidden, atol=1e-9)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_lstm_gates_equal_per_slice_sigmoid_and_tanh():
+    # one sigmoid over all 4H preactivations, the candidate slice then
+    # overwritten by tanh, gives each element the bits of per-slice calls;
+    # the values reach both exp overflow and tanh saturation
+    rng = np.random.default_rng(5)
+    for hs in (1, 2, 8, 128):
+        z = rng.normal(scale=30.0, size=(7, 4 * hs))
+        z[0, :4] = [800.0, -800.0, 0.0, -0.0][: z.shape[1]]
+        expect = np.concatenate(
+            [1.0 / (1.0 + np.exp(-z[:, k * hs : (k + 1) * hs])) for k in range(4)], axis=1
+        )
+        expect[:, 2 * hs : 3 * hs] = np.tanh(z[:, 2 * hs : 3 * hs])
+        assert _lstm_gates(z, hs).tobytes() == expect.tobytes()
+        for row, want in zip(z, expect):
+            assert _lstm_gates(row, hs).tobytes() == want.tobytes()
+        out = np.empty_like(z[0])
+        assert _lstm_gates(z[1], hs, out) is out and out.tobytes() == expect[1].tobytes()
+
+
+def lstm_grads_digest(hidden, inputs):
+    """SHA-256 of sequence_loss_grads' loss and every gradient over a 1-step
+    sequence, a 240-step one, and the 240-step one again with w and b
+    scaled by 60, which saturates gates (sigmoid at exactly 0 or 1, tanh at
+    exactly +-1)."""
+    rng = np.random.default_rng(100 * hidden + inputs)
+    x = rng.normal(size=(240, inputs))
+    d = rng.normal(size=(240, 2)) * 0.5
+    net = LstmNet(inputs, hidden, seed=hidden)
+    digest = hashlib.sha256()
+    for scale, steps in ((1.0, 1), (1.0, 240), (60.0, 240)):
+        net.set_params({**net.params(), "w": net.w * scale, "b": net.b * scale})
+        loss, grads = net.sequence_loss_grads(x[:steps], d[:steps])
+        digest.update(np.float64(loss).tobytes())
+        for name in sorted(grads):
+            digest.update(grads[name].tobytes())
+    return digest.hexdigest()
+
+
+LSTM_GRADS_SHA256 = {
+    (2, 9): "0b01f12bb682a382ca1c74de300a82baab133e06990be602a303d542678d6802",
+    (2, 6): "83dfa7e517588de84c7ebf609fad47b89f4b3e757021a52f010bebae2c746988",
+    (8, 9): "07261e8c46dea369150a76c36e7408ba8991d805be26e982ece145bd10888f1c",
+    (8, 6): "383a19b4711a9afdb1e43f2fe379b6a6d6f006e1ca78bc231acdb83213a06431",
+    (128, 9): "9b81bb94b681f7baa7aea4259e45d748339f336e85561365a341e967c54191de",
+    (128, 6): "71d037513b6e709184eb85d2c86897d33bc1f91f78882d431397bdc304499aa7",
+}
+
+
+@pytest.mark.parametrize("hidden, inputs", sorted(LSTM_GRADS_SHA256))
+def test_lstm_sequence_grads_bits_are_pinned(hidden, inputs):
+    # a product formed in another order, or a gate computed another way,
+    # changes these digests
+    assert lstm_grads_digest(hidden, inputs) == LSTM_GRADS_SHA256[hidden, inputs]
 
 
 def random_sequence(rng, t_steps, n_in):

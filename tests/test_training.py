@@ -24,10 +24,9 @@ from gazehead.training import (
     fit_vector_params,
     head_deltas,
     net_inputs,
-    predicted_deltas,
     zero_baseline_loss,
 )
-from oracles import ZeroController, make_trajectory, rel_err
+from oracles import ZeroController, lstm_predict_loop, make_trajectory, rel_err
 
 
 def static_head_traj(n=50, rate=90.0):
@@ -75,7 +74,6 @@ def test_perfect_model_scores_zero():
             self.i += 1
             return float(d[0]), float(d[1])
 
-    # evaluate through predicted_deltas' generic path via an MLP-free route:
     exact = Exact()
     pred = np.array([exact.step(None, None, None, 1 / 90) for _ in range(len(deltas))])
     assert np.mean((pred - deltas) ** 2) == 0.0
@@ -91,6 +89,19 @@ def test_zero_model_constant_delta_closed_form():
     loss = dataset_loss(ZeroController(), [traj])
     expect = (dpitch**2 + dyaw**2) / 2.0
     assert abs(loss - expect) < 1e-12
+
+
+def test_one_sample_trajectory_adds_no_steps_to_the_loss():
+    # a 1-sample trajectory has no steps: every family predicts (0, 2)
+    # commands for it, and the loss is that of the other trajectories
+    traj = constant_delta_traj(2e-3, -1e-3)
+    single = make_trajectory(np.zeros(1), vec3(0, 0, 1))
+    net = DenseNet([9, 2], seed=1)
+    for controller in (QuadrantController(), VectorController(VectorParams(
+            pitch=VectorAxisParams(1.0, 0.5, 8.0, 0.0), yaw=VectorAxisParams(1.0, 0.5, 8.0, 0.0))),
+            MlpController(net)):
+        assert [p.shape for p in controller.predict([net_inputs(single)], [1 / 90])] == [(0, 2)]
+        assert dataset_loss(controller, [traj, single]) == dataset_loss(controller, [traj])
 
 
 def test_teacher_forcing_inputs_ignore_predictions():
@@ -114,8 +125,8 @@ def test_teacher_forcing_inputs_ignore_predictions():
 
     # both go through the same precomputed-input path
     x = net_inputs(traj)
-    a = predicted_deltas(MlpController(DenseNet([9, 2], seed=1)), traj)
-    b = predicted_deltas(ZeroController(), traj)
+    [a] = MlpController(DenseNet([9, 2], seed=1)).predict([x], [1 / 90])
+    [b] = ZeroController().predict([x], [1 / 90])
     assert a.shape == b.shape == (len(traj) - 1, 2)
     # inputs are derived from the trajectory alone
     x2 = net_inputs(traj)
@@ -296,13 +307,31 @@ def test_controller_without_predict_is_a_type_error():
         family = "bare"
 
     with pytest.raises(TypeError, match="Bare"):
-        predicted_deltas(Bare(), static_head_traj())
+        dataset_loss(Bare(), [static_head_traj()])
 
 
 def test_quadrant_training_report_is_teacher_forced_loss():
     trajs = make_dataset(1, duration=4.0)
     controller, report = fit(TrainConfig(family="quadrant"), trajs, trajs)
     assert report.test_mse == pytest.approx(dataset_loss(controller, trajs))
+
+
+@pytest.mark.parametrize("lstm_input", [9, 6])
+def test_lstm_dataset_loss_sums_the_per_trajectory_step_loop_in_order(lstm_input):
+    # held-out trajectories of unequal lengths, one of a single sample,
+    # predicted in one lockstep pass: the loss must be the per-trajectory
+    # step loop's residuals summed in trajectory order
+    trajs = [generate_task(task, TaskConfig(duration=d), seed=k)[1]
+             for k, (task, d) in enumerate(zip(Task, (1.0, 0.4, 0.7, 1.3)))]
+    trajs.insert(2, dataclasses.replace(trajs[0], **{c: getattr(trajs[0], c)[:2] for c in COLUMNS}))
+    config = TrainConfig(family="lstm", hidden=(3,), epochs=1, lstm_input=lstm_input)
+    controller, _ = fit(config, trajs[:1])
+    slow = [downsample(t, 2) for t in trajs]
+    assert [len(t) for t in slow] == [45, 18, 1, 32, 59]
+    expect = 0.0
+    for traj, pred in zip(slow, lstm_predict_loop(controller, map(net_inputs, slow), [1 / 45] * 5)):
+        expect += float(np.sum((pred - head_deltas(traj)) ** 2))
+    assert dataset_loss(controller, slow) == expect / (2 * sum(len(t) - 1 for t in slow))
 
 
 @pytest.mark.parametrize("duration", [2.0, 2.0 + 1 / 90, 30.0])

@@ -12,10 +12,12 @@ trees byte for byte:
 - ``generate`` a second shape, 3 participants with 2 trials per task at
   45 Hz and 3 s (compared only, never trained on);
 - ``train`` vector, mlp 8, lstm H2, lstm H3 with 6 inputs and quadrant,
-  each with a report and a checkpoint;
-- ``rollout`` of all five with ``--steps-csv`` and ``--duration-cap``;
-- ``evaluate`` of all five, serial and with ``--jobs 2``, with ``--csv``,
-  and once with ``--noise 0``;
+  each with a report and a checkpoint, and a wide lstm H64 (small and
+  wide recurrent matrix products can round differently, so each size
+  gets its own run);
+- ``rollout`` of all six with ``--steps-csv`` and ``--duration-cap``;
+- ``evaluate`` of the first five, serial and with ``--jobs 2``, with
+  ``--csv``, and once with ``--noise 0``;
 - ``report`` of the evaluate tables;
 - ``exosim`` of every controller.
 
@@ -41,8 +43,10 @@ TRAIN = {
     "lstm": ["--family", "lstm", "--hidden", "2", "--epochs", "4", "--lr", "0.01"],
     "lstm6": ["--family", "lstm", "--hidden", "3", "--epochs", "4", "--lr", "0.01", "--lstm-input", "6"],
     "quadrant": ["--family", "quadrant"],
+    "lstm64": ["--family", "lstm", "--hidden", "64", "--epochs", "2", "--lr", "0.01"],
 }
 CONFIGS = [f"{name}.json" for name in CONTROLLERS]
+TRAINED = (*CONTROLLERS, "lstm64")  # trained, rolled out and run in exosim
 
 
 def pipeline():
@@ -51,10 +55,10 @@ def pipeline():
               "--duration", "6", "--out", "data"],
              ["generate", "--task", "all", "--participants", "3", "--trials-per-task", "2",
               "--rate", "45", "--duration", "3", "--seed", "2", "--out", "data45"]]
-    for name in CONTROLLERS:
+    for name in TRAINED:
         steps.append(["train", *TRAIN[name], "--data", "data", "--seed", "0", "--name", name,
                       "--out", f"{name}.json", "--report", f"{name}.report.json"])
-    for name in CONTROLLERS:
+    for name in TRAINED:
         steps.append(["rollout", "--controller", f"{name}.json", "--data", "data", "--seed", "3",
                       "--duration-cap", "4", "--out", f"rollout-{name}.json",
                       "--steps-csv", f"rollout-{name}.steps.csv"])
@@ -68,7 +72,7 @@ def pipeline():
         ["report", "--results", "table.json", "table-jobs2.json", "table-quiet.json",
          "--out", "report"],
     ]
-    for name in CONTROLLERS:
+    for name in TRAINED:
         steps.append(["exosim", "--controller", f"{name}.json", "--ticks", "300", "--seed", "2",
                       "--out", f"exosim-{name}.csv"])
     return steps
