@@ -133,7 +133,7 @@ def cmd_train(args):
 def _write_rows_csv(path, rows):
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
-        writer.writerow(["controller", "task", "trajectory", "mse", "steps", "faulted"])
+        writer.writerow(ROW_KEYS)
         for r in rows:
             writer.writerow([r.controller, r.task, r.trajectory, repr(r.mse), r.steps, int(r.faulted)])
 

@@ -4,7 +4,8 @@ eye-head task data.
 A Trajectory holds one trial as columns: ``t`` (T,), six (T, 3) vector
 columns (head position and direction, each eye's origin and gaze; meters,
 unit-norm world-frame directions) and ``valid`` (T,), False marking a
-blink. ``Trajectory.samples``, a row view of them, is for the benchmark.
+blink. The columns are the only copy of the data: ``Trajectory.samples``,
+for the benchmark, is a list of rows that read and write them in place.
 
 File format (one or more trajectories per .jsonl file): a header object
 ``{"participant", "task", "rate_hz"}`` starts each trajectory, followed by
@@ -24,8 +25,9 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field, replace
-from itertools import chain, count, repeat
+from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -60,9 +62,8 @@ COLUMNS = ("t", *_VECTORS, "valid")
 @dataclass(eq=False)  # a field-wise == of arrays has no single truth value
 class Trajectory:
     """One trial: its header and its columns (see the module docstring),
-    float64 arrays and a bool ``valid``. Once ``samples`` is built, write
-    the columns only through its rows, whose scalar ``t`` and ``valid`` go
-    stale otherwise (``downsample`` and ``repair_blinks`` may return views)."""
+    float64 arrays and a bool ``valid``. The columns are its only copy of
+    the data (``downsample`` and ``repair_blinks`` may return views)."""
 
     participant_id: int
     task: Task
@@ -75,53 +76,45 @@ class Trajectory:
     right_origin: np.ndarray
     right_dir: np.ndarray
     valid: np.ndarray
-    _rows: list | None = field(default=None, init=False, repr=False)
 
     def __len__(self):
         return len(self.t)
 
-    @property
+    @cached_property
     def samples(self):
-        """The samples as rows, one attribute per column, built on first
-        access, for the benchmark; a write lands in the columns, and after
-        the first access must go through the rows (see the class)."""
-        if self._rows is None:
-            columns = {name: getattr(self, name) for name in COLUMNS}
-            vectors = (columns[name] for name in _VECTORS)
-            t, valid = self.t.tolist(), self.valid.tolist()
-            rows = list(map(_Row, repeat(columns), count(), t, *vectors, valid))
-            for row in rows:
-                row.__class__ = _SampleRow
-            self._rows = rows
-        return self._rows
+        """The samples as rows, for the benchmark: each row reads and
+        writes the columns in place."""
+        return list(map(_SampleRow, repeat(self), range(len(self.t))))
 
 
-class _Row:
-    """A sample row while it is built, with plain slot stores; samples
-    then makes it a _SampleRow, whose stores write through."""
+def _column(name):
+    """The row attribute of one column: reads and writes it at the row's
+    index; t and valid read as Python scalars."""
+    if name in ("t", "valid"):
+        def read(row):
+            return getattr(row.trajectory, name).item(row.index)
+    else:
+        def read(row):
+            return getattr(row.trajectory, name)[row.index]
 
-    __slots__ = ("_columns", "_i", *COLUMNS)
+    def write(row, value):
+        getattr(row.trajectory, name)[row.index] = value
 
-    def __init__(self, columns, i, t, head_pos, head_dir, left_origin, left_dir, right_origin,
-                 right_dir, valid):
-        self._columns, self._i, self.t, self.valid = columns, i, t, valid
-        self.head_pos, self.head_dir, self.left_origin = head_pos, head_dir, left_origin
-        self.left_dir, self.right_origin, self.right_dir = left_dir, right_origin, right_dir
+    return property(read, write)
 
 
-class _SampleRow(_Row):
-    """One sample of a trajectory's columns. The vector attributes are row
-    views of the columns and t and valid are Python scalars, so a read is a
-    slot read; setting an attribute writes the column (write through the
-    row, not the column, or t and valid go stale)."""
+class _SampleRow:
+    """One sample of a trajectory: an attribute per column, each a read or
+    a write of that column at the row's index."""
 
-    __slots__ = ()
+    __slots__ = ("trajectory", "index")
 
-    def __setattr__(self, name, value):
-        column = self._columns[name]
-        column[self._i] = value
-        if column.ndim == 1:
-            object.__setattr__(self, name, column[self._i].item())
+    def __init__(self, trajectory, index):
+        self.trajectory, self.index = trajectory, index
+
+    t, head_pos, head_dir, left_origin, left_dir, right_origin, right_dir, valid = map(
+        _column, COLUMNS
+    )
 
 
 @dataclass
@@ -194,18 +187,15 @@ def save_trajectories(trajectories, path):
                 f.write(json.dumps(dict(zip(("t", *_KEYS, "valid"), values))) + "\n")
 
 
-def _malformed(exc, line_number):
-    return TrajectoryFormatError(f"malformed sample row ({exc})", line_number)
-
-
 def _check_row(row, line_number):
     """Raises TrajectoryFormatError naming what is malformed in one decoded
     sample row on its own."""
     try:
+        float(row["t"])  # float()'s message says why it cannot take a t
         vectors = [np.array(row[key], dtype=float) for key in _KEYS]
         valid = row["valid"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise _malformed(exc, line_number) from exc
+        raise TrajectoryFormatError(f"malformed sample row ({exc})", line_number) from exc
     for name, vector in zip(_VECTORS, vectors):
         if vector.shape != (3,):
             raise TrajectoryFormatError(f"field {name} is not a 3-vector", line_number)
@@ -216,26 +206,26 @@ def _check_row(row, line_number):
         raise TrajectoryFormatError("field valid is not a bool", line_number)
 
 
-def _sample_columns(rows, line_numbers, times):
-    """The columns, in COLUMNS order, of a trajectory's decoded sample rows
-    and their timestamps.
+def _sample_columns(rows, line_numbers):
+    """The columns, in COLUMNS order, of a trajectory's decoded sample rows.
 
     Raises TrajectoryFormatError for the first bad row: a malformed row, a
     value that is not a number or not finite, a valid flag that is not a
-    bool, or a direction that is not unit length (head_dir on every row,
-    the gaze only on valid rows). A valid row whose gaze has collapsed
-    (norm below 0.5) is reclassified as a blink first.
+    bool, a direction that is not unit length (head_dir on every row, the
+    gaze only on valid rows), or a t not after the previous row's. A valid
+    row whose gaze has collapsed (norm below 0.5) is reclassified as a
+    blink first.
     """
     n = len(rows)
     try:
+        times = [row["t"] for row in rows]
+        t = np.array(times, dtype=float)
         raw = [[row[key] for row in rows] for key in _KEYS]
         vectors = [np.array(values, dtype=float) for values in raw]
         flags = [row["valid"] for row in rows]
         malformed = (
             any(column.shape != (n, 3) for column in vectors)
-            or not _NUMBERS.issuperset(
-                map(type, chain([row["t"] for row in rows], *map(chain.from_iterable, raw)))
-            )
+            or not _NUMBERS.issuperset(map(type, chain(times, *map(chain.from_iterable, raw))))
             or not _BOOLS.issuperset(map(type, flags))
         )
     except (KeyError, TypeError, ValueError, OverflowError):
@@ -248,9 +238,8 @@ def _sample_columns(rows, line_numbers, times):
                 _check_row(row, line_number)
             except TrajectoryFormatError:
                 if m:
-                    _sample_columns(rows[:m], line_numbers[:m], times[:m])
+                    _sample_columns(rows[:m], line_numbers[:m])
                 raise
-    t = np.array(times, dtype=float)
     valid = np.array(flags, dtype=bool)
     # one row per sample: the lengths of head_dir, left_dir and right_dir
     lengths = np.column_stack([norms(vectors[1]), norms(vectors[3]), norms(vectors[5])])
@@ -258,15 +247,19 @@ def _sample_columns(rows, line_numbers, times):
     off_unit = ~(np.abs(lengths - 1.0) <= UNIT_TOLERANCE)
     off_unit[:, 1:] &= valid[:, None]
     # per row, in the order they are reported: t and the six vectors not
-    # finite, then head_dir, left_dir and right_dir off unit
+    # finite, then head_dir, left_dir and right_dir off unit, then t not
+    # after the previous row's
     non_finite = [~np.isfinite(t), *(~np.isfinite(v).all(axis=1) for v in vectors)]
-    problems = np.column_stack([*non_finite, off_unit])
+    non_monotonic = np.concatenate([[False], t[1:] <= t[:-1]])
+    problems = np.column_stack([*non_finite, off_unit, non_monotonic])
     bad = np.flatnonzero(problems.any(axis=1))
     if len(bad):
         i = bad[0]
         k = int(np.argmax(problems[i]))
         if k < len(non_finite):
             raise TrajectoryFormatError(f"field {COLUMNS[k]} is not finite", line_numbers[i])
+        if k == problems.shape[1] - 1:
+            raise TrajectoryFormatError("non-monotonic timestamp", line_numbers[i])
         k -= len(non_finite)
         name = ("head_dir", "left_dir", "right_dir")[k]
         raise TrajectoryFormatError(
@@ -278,10 +271,10 @@ def _sample_columns(rows, line_numbers, times):
 def load_trajectories(path):
     """Parse a JSONL trajectory file; returns only non-empty trajectories.
 
-    Raises TrajectoryFormatError with the path and the offending line
-    number for malformed rows, NaN or Infinity tokens, numeric fields that
-    hold a bool, a string or a null, or that overflow to infinity, a valid
-    flag that is not a bool, a participant that is not an integer, a
+    Raises TrajectoryFormatError with the path and the first offending
+    line number for malformed rows, NaN or Infinity tokens, numeric fields
+    that hold a bool, a string or a null, or that overflow to infinity, a
+    valid flag that is not a bool, a participant that is not an integer, a
     rate_hz that is not a positive finite number, non-monotonic timestamps,
     or a head or (on a valid row) gaze direction more than UNIT_TOLERANCE
     off unit length. Rows whose gaze has collapsed load as blinks.
@@ -296,15 +289,15 @@ def load_trajectories(path):
 def _parse_lines(f):
     """Trajectories of an open JSONL file; errors name the line only.
 
-    Lines are decoded one at a time, and timestamps are checked as they
-    come; a trajectory's sample rows are buffered and turned into columns
+    Lines are decoded and headers checked one at a time; a trajectory's
+    sample rows are buffered and turned into columns, and checked,
     together at the next header or at the end of the file. Before any
     error is raised the buffered rows are checked as well, so the error
     names the first bad line of the file.
     """
     trajectories = []
     header = None
-    rows, line_numbers, times = [], [], []
+    rows, line_numbers = [], []
     try:
         for line_number, line in enumerate(f, start=1):
             line = line.strip()
@@ -320,8 +313,8 @@ def _parse_lines(f):
                 raise TrajectoryFormatError("expected a JSON object", line_number)
             if "participant" in row:
                 if rows:
-                    pending = rows, line_numbers, times
-                    rows, line_numbers, times = [], [], []
+                    pending = rows, line_numbers
+                    rows, line_numbers = [], []
                     trajectories.append(Trajectory(*header, *_sample_columns(*pending)))
                 # int() and float() would also take a bool, a fractional
                 # participant or a numeric string
@@ -343,24 +336,15 @@ def _parse_lines(f):
                 continue
             if header is None:
                 raise TrajectoryFormatError("sample row before any header", line_number)
-            try:
-                t = float(row["t"])
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise _malformed(exc, line_number) from exc
-            # buffered before the timestamp check: a malformed field of
-            # this row is reported ahead of its timestamp
             rows.append(row)
             line_numbers.append(line_number)
-            times.append(t)
-            if len(times) > 1 and t <= times[-2]:
-                raise TrajectoryFormatError("non-monotonic timestamp", line_number)
         if rows:
-            pending = rows, line_numbers, times
+            pending = rows, line_numbers
             rows = []
             trajectories.append(Trajectory(*header, *_sample_columns(*pending)))
     except TrajectoryFormatError:
         if rows:
-            _sample_columns(rows, line_numbers, times)  # raises for an earlier bad row
+            _sample_columns(rows, line_numbers)  # raises for an earlier bad row
         raise
     return trajectories
 
@@ -489,11 +473,9 @@ def _sample_cone_point(rng, half_angle_deg, distance):
     return pitch_yaw_to_dir(pitch, yaw) * distance
 
 
-def _segment_ok(p0, p1, config):
-    """Accept a pursuit segment only if its whole path keeps a margin
-    inside the view cone and away from the head."""
-    ts = np.linspace(0.0, 1.0, 2048)
-    pts = p0[None, :] + ts[:, None] * (p1 - p0)[None, :]
+def _path_ok(pts, config):
+    """Accept a pursuit path, given as (N, 3) points, only if it keeps
+    1.5 m from the head and a 1 degree margin inside the view cone."""
     if np.min(np.linalg.norm(pts, axis=1)) < 1.5:
         return False
     return _in_cone(pts, config.cone_half_angle - 1.0)
@@ -516,7 +498,8 @@ class _LinearTargets:
             )
             if np.linalg.norm(candidate - self.pos) < 0.5:
                 continue
-            if _segment_ok(self.pos, candidate, self.config):
+            ts = np.linspace(0.0, 1.0, 2048)[:, None]
+            if _path_ok(self.pos + ts * (candidate - self.pos), self.config):
                 return candidate
         raise RuntimeError("could not place a pursuit waypoint")
 
@@ -558,9 +541,7 @@ class _ArcTargets:
                 + radius * np.cos(thetas)[:, None] * u[None, :]
                 + radius * np.sin(thetas)[:, None] * w[None, :]
             )
-            if np.min(np.linalg.norm(pts, axis=1)) < 1.5:
-                continue
-            if not _in_cone(pts, self.config.cone_half_angle - 1.0):
+            if not _path_ok(pts, self.config):
                 continue
             self.center = center
             self.radius = radius

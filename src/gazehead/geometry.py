@@ -56,11 +56,6 @@ def crosses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def cross(a: Vec3, b: Vec3) -> Vec3:
-    """np.cross of two 3-vectors: crosses on one row."""
-    return crosses(a[None, :], b[None, :])[0]
-
-
 def normalize(v: Vec3) -> Vec3:
     """Unit vector along v. Raises ValueError for a near-zero vector."""
     n = norm(v)

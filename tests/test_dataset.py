@@ -469,11 +469,19 @@ def raw_row(key, text, **fields):
     return json.dumps(row).replace('"@"', text)
 
 
+def row_without(key):
+    """sample_row(0.1) with key left out."""
+    row = json.loads(sample_row(0.1))
+    del row[key]
+    return json.dumps(row)
+
+
 @pytest.mark.parametrize("line, reason", [
     (sample_row(0.1, head_pos=[0.0, None, 0.0]), "field head_pos is not a number"),
     (sample_row(0.1, lo=[None, 0.0, 0.0]), "field left_origin is not a number"),
     (sample_row(0.1, ld=[0.0, 0.0, None], valid=False), "field left_dir is not a number"),
     (raw_row("t", "1e999"), "field t is not finite"),
+    # -inf is not after the previous t either; not finite is named first
     (raw_row("t", "-1e999"), "field t is not finite"),
     (raw_row("head_pos", "[1e999, 0.0, 0.0]"), "field head_pos is not finite"),
     (raw_row("ro", "[0.0, -1e999, 0.0]"), "field right_origin is not finite"),
@@ -482,10 +490,20 @@ def raw_row(key, text, **fields):
     (sample_row(True), "field t is not a number"),
     (sample_row(0.1, ld=["0", "0", "1"]), "field left_dir is not a number"),
     (sample_row(0.1, head_pos=[True, 0.0, 0.0]), "field head_pos is not a number"),
+    (row_without("t"), "malformed sample row ('t')"),
+    (sample_row(10**400), "malformed sample row (int too large to convert to float)"),
 ])
 def test_non_numeric_or_non_finite_field_is_rejected(tmp_path, line, reason):
     err = load_error(tmp_path, [HEADER, sample_row(0.0), line, sample_row(0.2)])
     assert err.line_number == 3 and err.reason == reason
+
+
+def test_off_unit_row_is_named_before_its_own_timestamp(tmp_path):
+    # within a row the order is malformed, not finite, off unit, then not
+    # after the previous row's t
+    err = load_error(tmp_path, [HEADER, sample_row(0.5), sample_row(0.1, rd=[0.0, 0.0, 0.8])])
+    assert err.line_number == 3
+    assert err.reason == "field right_dir is not unit length (norm 0.8)"
 
 
 @pytest.mark.parametrize("flag", ['"false"', '"true"', "null", "0", "1", "[]"])
@@ -598,3 +616,26 @@ def test_samples_view_writes_reach_the_columns_and_the_file(tmp_path):
 
     assert fingerprint(loaded) == fingerprint(traj)
     assert fingerprint(traj) == b"".join(getattr(traj, c).tobytes() for c in ("t", "valid", *_FINGERPRINT_FIELDS))
+
+
+def test_samples_view_reads_column_writes_made_after_it_is_built():
+    traj = generate_participant(0, TASK_ORDER[:1], 1, TaskConfig(duration=1.0), seed=3)[0]
+    rows = traj.samples
+    traj.valid[3] = False
+    traj.t[3] = 0.5
+    traj.left_dir[3] = 0.0
+    assert rows[3].valid is False and rows[4].valid is True
+    assert type(rows[3].t) is float and rows[3].t == 0.5
+    assert not rows[3].left_dir.any()
+
+
+def test_downsampled_rows_write_into_the_parent_columns():
+    traj = generate_participant(0, TASK_ORDER[:1], 1, TaskConfig(duration=1.0), seed=3)[0]
+    coarse = downsample(traj, 3)
+    row = coarse.samples[2]
+    assert row.t == traj.t[6] and row.valid is True
+    row.valid = False
+    row.right_dir = np.zeros(3)
+    assert np.flatnonzero(~traj.valid).tolist() == [6]
+    assert np.flatnonzero(~traj.right_dir.any(axis=1)).tolist() == [6]
+    assert traj.samples[6].valid is False

@@ -19,7 +19,10 @@ trees byte for byte:
 - ``evaluate`` of the first five, serial and with ``--jobs 2``, with
   ``--csv``, and once with ``--noise 0``;
 - ``report`` of the evaluate tables;
-- ``exosim`` of every controller.
+- ``exosim`` of every controller;
+- ``rollout`` of quadrant on each of a fixed list of corruptions of one
+  generated file (``MALFORMED``), each expected to exit 1; its stderr is
+  kept as ``malformed/<name>.stderr``.
 
 Only ``wall_time_s`` in the train reports, a clock reading, is masked. The
 first differing file and its first differing number are printed, and the
@@ -29,6 +32,7 @@ exit status is 1 on any difference, 0 when every file matches.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import re
 import subprocess
@@ -78,15 +82,64 @@ def pipeline():
     return steps
 
 
+# Corruptions of MALFORMED_SOURCE, one file each: per edit, the 0-based
+# line, the key, and the raw JSON text its value becomes (None deletes the
+# key; a key of None replaces the whole line). Line 0 is the header.
+MALFORMED_SOURCE = "data45/p000_linear-pursuit_t00.jsonl"
+MALFORMED = {
+    "missing-key": [(3, "rd", None)],
+    "missing-t": [(4, "t", None)],
+    "string-number": [(3, "t", '"0.1"')],
+    "bool-number": [(4, "head_pos", "[true, 0.0, 0.0]")],
+    "null": [(5, "ld", "[0.0, null, 1.0]")],
+    "overflow": [(6, "ro", "[0.0, 1e999, 0.0]")],
+    "off-unit-gaze": [(7, "ld", "[0.0, 0.0, 0.9]")],
+    "non-monotonic-t": [(9, "t", "0.0")],
+    "later-json-error": [(12, "t", "0.0"), (30, None, '{"t": 1.0, "head_pos": [0.0,')],
+    "participant-1.7": [(0, "participant", "1.7")],
+    "valid-string": [(8, "valid", '"false"')],
+}
+
+
+def corrupted(lines, edits):
+    lines = list(lines)
+    for i, key, text in edits:
+        if key is None:
+            lines[i] = text
+            continue
+        row = json.loads(lines[i])
+        if text is None:
+            del row[key]
+            lines[i] = json.dumps(row)
+        else:
+            row[key] = "@"
+            lines[i] = json.dumps(row).replace('"@"', text)
+    return lines
+
+
+def run(argv, out, env, tree, status=0):
+    proc = subprocess.run([sys.executable, "-m", "gazehead", *argv], cwd=out, env=env,
+                          capture_output=True, text=True)
+    if proc.returncode != status:
+        raise SystemExit(f"{tree.name}: gazehead {' '.join(argv)} exited {proc.returncode}, "
+                         f"not {status}:\n{proc.stderr}")
+    return proc.stderr
+
+
 def run_pipeline(tree: Path, out: Path):
     out.mkdir()
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     for argv in pipeline():
-        proc = subprocess.run([sys.executable, "-m", "gazehead", *argv], cwd=out, env=env,
-                              capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise SystemExit(f"{tree.name}: gazehead {' '.join(argv)} failed:\n{proc.stderr}")
+        run(argv, out, env, tree)
+    bad = out / "malformed"
+    bad.mkdir()
+    source = (out / MALFORMED_SOURCE).read_text(encoding="utf-8").splitlines()
+    for name, edits in MALFORMED.items():
+        (bad / f"{name}.jsonl").write_text("\n".join(corrupted(source, edits)) + "\n", encoding="utf-8")
+        stderr = run(["rollout", "--controller", "quadrant.json", "--data", f"malformed/{name}.jsonl",
+                      "--seed", "3", "--out", f"malformed/{name}.table.json"], out, env, tree, status=1)
+        (bad / f"{name}.stderr").write_text(stderr, encoding="utf-8")
 
 
 _WALL_TIME = re.compile(rb'"wall_time_s": [^,\n}]+')
