@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .geometry import dir_to_pitch_yaw, dirs_to_pitch_yaw, normalize, normalize_rows
-from .nn import DenseNet, LstmNet, LstmState, dense_forward, load_checkpoint, save_checkpoint
+from .nn import DenseNet, LstmNet, load_checkpoint, save_checkpoint
 
 _EXP_MAX = 700.0  # exp() overflow guard; beyond this the law is exactly 0
 
@@ -131,11 +131,12 @@ class Controller:
     radians. ``faulted`` latches when a non-finite command was replaced by
     (0, 0).
 
-    step_rows() steps K of the independent rows set up by ``reset_rows``
-    at once: (K, 9) inputs in the ``training.net_inputs`` layout, (K,)
-    tick durations and the (K,) row indices -> (K, 2) commands and the
-    (K,) mask of rows whose command was replaced by (0, 0). Every row gets
-    the bits ``step`` would give it.
+    reset_rows() clears the latch and sets up independent rows; reset() is
+    ``reset_rows(1)``, and a stateful family's ``step`` advances row 0.
+    step_rows() steps K of those rows at once: (K, 9) inputs in the
+    ``training.net_inputs`` layout, (K,) tick durations and the (K,) row
+    indices -> (K, 2) commands and the (K,) mask of rows whose command was
+    replaced by (0, 0). Every row gets the bits ``step`` would give it.
 
     predict() is the teacher-forced counterpart, the one place a family's
     maths meets whole trajectories, all of a loss's at once: an iterable
@@ -153,11 +154,11 @@ class Controller:
         self.faulted = False
 
     def reset(self):
-        self.faulted = False
+        self.reset_rows(1)
 
     def reset_rows(self, rows):
-        """reset, then set up ``rows`` independent rows for step_rows."""
-        self.reset()
+        """Clear the fault latch and set up ``rows`` independent rows."""
+        self.faulted = False
 
     def step(self, left_dir, right_dir, head_dir, dt):
         raise NotImplementedError
@@ -249,23 +250,42 @@ class VectorController(_LawController):
     step = _LawController.step
 
 
-class MlpController(Controller):
-    """Dense net over the 9-vector (left, right, head directions).
-
-    The network output is the per-tick delta at ``train_rate_hz``; at other
-    tick lengths the delta scales by dt * train_rate_hz.
+class _NetController(Controller):
+    """A learned family: ``net`` emits the per-tick delta at
+    ``train_rate_hz``; at other tick lengths the delta scales by
+    dt * train_rate_hz. The network's type and shape, and the rate, are
+    checked once, here, so a bad checkpoint fails before the first step.
     """
 
-    family = "mlp"
+    net_type = None
+    input_sizes = ()
 
-    def __init__(self, net: DenseNet, train_rate_hz=90.0, name=None):
+    def __init__(self, net, train_rate_hz=90.0, name=None):
         super().__init__(name)
+        wanted = (f"{self.net_type.__name__} with {' or '.join(map(str, self.input_sizes))} "
+                  "inputs and 2 outputs")
+        if not isinstance(net, self.net_type):
+            raise ValueError(f"{self.family} controller needs {wanted}, got {type(net).__name__}")
+        if net.input_size not in self.input_sizes or net.output_size != 2:
+            raise ValueError(f"{self.family} controller needs {wanted}, got "
+                             f"{net.input_size} inputs and {net.output_size} outputs")
+        rate = float(train_rate_hz)
+        if not (math.isfinite(rate) and rate > 0):
+            raise ValueError(f"train_rate_hz must be positive and finite, got {rate!r}")
         self.net = net
-        self.train_rate_hz = float(train_rate_hz)
+        self.train_rate_hz = rate
+
+
+class MlpController(_NetController):
+    """Dense net over the 9-vector (left, right, head directions)."""
+
+    family = "mlp"
+    net_type = DenseNet
+    input_sizes = (9,)
 
     def step(self, left_dir, right_dir, head_dir, dt):
         x = np.concatenate([left_dir, right_dir, head_dir])
-        out = dense_forward(self.net, x) * (dt * self.train_rate_hz)
+        out = self.net.forward_rows(x[None])[0] * (dt * self.train_rate_hz)
         return self._guard(float(out[0]), float(out[1]))
 
     def step_rows(self, x, dt, rows):
@@ -276,57 +296,57 @@ class MlpController(Controller):
         return [self.net.forward_batch(x) * (dt * self.train_rate_hz) for x, dt in zip(xs, dts)]
 
 
-class LstmController(Controller):
+class LstmController(_NetController):
     """Recurrent controller; holds hidden/cell state across a rollout.
 
     It is stepped at ``train_rate_hz`` (45 Hz by default, half the 90 Hz
     data rate): a rollout calls it every rate_hz / train_rate_hz samples.
-    ``state`` is the state of ``step``; ``row_state`` holds the (rows, H)
-    states of ``step_rows``, and a row's state stops advancing once that
-    row has faulted, as ``step``'s does once ``faulted`` is set.
+    Its 6 or 9 inputs are the combined gaze or both gazes, then the head
+    direction. ``hidden`` and ``cell`` hold the (rows, H) states that
+    ``reset_rows`` sets up. ``step`` advances row 0, so it continues row 0
+    of a lockstep call unless ``reset()`` runs first. A row's state stops
+    advancing once that row has faulted (``row_faulted``), and ``step``'s
+    while ``faulted`` is set.
     """
 
     family = "lstm"
     stateful = True
+    net_type = LstmNet
+    input_sizes = (6, 9)
 
     def __init__(self, net: LstmNet, train_rate_hz=45.0, name=None):
-        super().__init__(name)
-        self.net = net
-        self.train_rate_hz = float(train_rate_hz)
+        super().__init__(net, train_rate_hz, name)
         self.reset_rows(1)
-
-    def reset(self):
-        super().reset()
-        self.state = LstmState.zeros(self.net.hidden_size)
 
     def reset_rows(self, rows):
         super().reset_rows(rows)
-        hs = self.net.hidden_size
-        self.row_state = LstmState(np.zeros((rows, hs)), np.zeros((rows, hs)))
+        self.hidden = np.zeros((rows, self.net.hidden_size))
+        self.cell = np.zeros_like(self.hidden)
         self.row_faulted = np.zeros(rows, dtype=bool)
 
     def step(self, left_dir, right_dir, head_dir, dt):
-        x = np.concatenate([left_dir, right_dir, head_dir])
         if self.net.input_size == 6:
             x = np.concatenate([normalize(left_dir + right_dir), head_dir])
-        out, state = self.net.step(self.state, x)
+        else:
+            x = np.concatenate([left_dir, right_dir, head_dir])
+        out, hidden, cell = self.net.step(self.hidden[0], self.cell[0], x)
         out = out * (dt * self.train_rate_hz)
         dp, dy = self._guard(float(out[0]), float(out[1]))
         if not self.faulted:
-            self.state = state
+            self.hidden[0] = hidden
+            self.cell[0] = cell
         return dp, dy
 
     def step_rows(self, x, dt, rows):
         if self.net.input_size == 6:
             x = np.concatenate([normalize_rows(x[:, 0:3] + x[:, 3:6]), x[:, 6:9]], axis=1)
-        state = self.row_state
-        y, hidden, cell = self.net.step_rows(state.hidden[rows], state.cell[rows], x)
+        y, hidden, cell = self.net.step_rows(self.hidden[rows], self.cell[rows], x)
         out = y * (dt * self.train_rate_hz)[:, None]
         faults = self._guard_rows(out)
         self.row_faulted[rows] |= faults
         keep = ~self.row_faulted[rows]
-        state.hidden[rows[keep]] = hidden[keep]
-        state.cell[rows[keep]] = cell[keep]
+        self.hidden[rows[keep]] = hidden[keep]
+        self.cell[rows[keep]] = cell[keep]
         return out, faults
 
     def predict(self, xs, dts):
@@ -377,7 +397,9 @@ def save_controller(controller: Controller, path, checkpoint_path=None, extra_co
 
 
 def load_controller(path) -> Controller:
-    """Build a controller from its config JSON."""
+    """Build a controller from its config JSON. A network or tick rate its
+    family cannot run raises ValueError naming the config and checkpoint
+    files."""
     path = os.fspath(path)
     with open(path, encoding="utf-8") as f:
         config = json.load(f)
@@ -399,7 +421,9 @@ def load_controller(path) -> Controller:
             ckpt = os.path.join(os.path.dirname(path), ckpt)
         net, _ = load_checkpoint(ckpt)
         rate = config.get("tick_rate_hz", 90.0 if family == "mlp" else 45.0)
-        if family == "mlp":
-            return MlpController(net, train_rate_hz=rate, name=name)
-        return LstmController(net, train_rate_hz=rate, name=name)
+        family_type = MlpController if family == "mlp" else LstmController
+        try:
+            return family_type(net, train_rate_hz=rate, name=name)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path} (checkpoint {ckpt}): {exc}") from exc
     raise ValueError(f"unknown controller family {family!r}")

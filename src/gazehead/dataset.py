@@ -272,14 +272,15 @@ def load_trajectories(path):
     """Parse a JSONL trajectory file; returns only non-empty trajectories.
 
     Raises TrajectoryFormatError with the path and the first offending
-    line number for malformed rows, NaN or Infinity tokens, numeric fields
-    that hold a bool, a string or a null, or that overflow to infinity, a
-    valid flag that is not a bool, a participant that is not an integer, a
-    rate_hz that is not a positive finite number, non-monotonic timestamps,
-    or a head or (on a valid row) gaze direction more than UNIT_TOLERANCE
-    off unit length. Rows whose gaze has collapsed load as blinks.
+    line number for a line that is not valid UTF-8, malformed rows, NaN or
+    Infinity tokens, numeric fields that hold a bool, a string or a null,
+    or that overflow to infinity, a valid flag that is not a bool, a
+    participant that is not an integer, a rate_hz that is not a positive
+    finite number, non-monotonic timestamps, or a head or (on a valid row)
+    gaze direction more than UNIT_TOLERANCE off unit length. Rows whose
+    gaze has collapsed load as blinks.
     """
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
         try:
             return _parse_lines(f)
         except TrajectoryFormatError as exc:
@@ -287,19 +288,27 @@ def load_trajectories(path):
 
 
 def _parse_lines(f):
-    """Trajectories of an open JSONL file; errors name the line only.
+    """Trajectories of a JSONL file open with surrogateescape; errors name
+    the line only.
 
-    Lines are decoded and headers checked one at a time; a trajectory's
-    sample rows are buffered and turned into columns, and checked,
-    together at the next header or at the end of the file. Before any
-    error is raised the buffered rows are checked as well, so the error
-    names the first bad line of the file.
+    Lines are decoded and headers checked one at a time; a byte that is
+    not UTF-8 has been read as a lone surrogate, so only a line that is not
+    ASCII is encoded back to find one. A trajectory's sample rows are
+    buffered and turned into columns, and checked, together at the next
+    header or at the end of the file. Before any error is raised the
+    buffered rows are checked as well, so the error names the first bad
+    line of the file.
     """
     trajectories = []
     header = None
     rows, line_numbers = [], []
     try:
         for line_number, line in enumerate(f, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise TrajectoryFormatError(f"not valid UTF-8 ({exc.reason})", line_number) from exc
             line = line.strip()
             if not line:
                 continue

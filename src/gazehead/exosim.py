@@ -50,9 +50,6 @@ class EmaFilter:
             self.state = self.alpha * float(sample) + (1.0 - self.alpha) * self.state
         return self.state
 
-    def reset(self):
-        self.state = None
-
 
 def clamp_with_slide(pitch, yaw, limits: ExoLimits):
     """Component-wise clamp into the workspace; the unclamped component

@@ -70,12 +70,20 @@ class DenseNet:
             self.weights[i] = np.asarray(params[f"w{i}"], dtype=float).reshape(self.weights[i].shape)
             self.biases[i] = np.asarray(params[f"b{i}"], dtype=float).reshape(self.biases[i].shape)
 
-    def _forward(self, a):
+    @property
+    def output_size(self):
+        return self.sizes[-1]
+
+    def _forward(self, a, acts=None):
+        """The layers over ``a``; each layer's output is appended to
+        ``acts`` when it is given a list."""
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             a = a @ w.T + b
             if i != last:
                 a = np.tanh(a)
+            if acts is not None:
+                acts.append(a)
         return a
 
     def forward_batch(self, x):
@@ -99,13 +107,7 @@ class DenseNet:
         x = np.asarray(inputs, dtype=float)
         d = np.asarray(targets, dtype=float)
         acts = [x]
-        last = len(self.weights) - 1
-        a = x
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            a = a @ w.T + b
-            if i != last:
-                a = np.tanh(a)
-            acts.append(a)
+        self._forward(x, acts)
         resid = acts[-1] - d
         loss = float(np.mean(resid**2))
         if not np.isfinite(loss):
@@ -113,31 +115,13 @@ class DenseNet:
         grads = {}
         # d(loss)/d(output) for mean over T steps and `out` components
         dz = resid * (2.0 / resid.size)
-        for i in range(last, -1, -1):
+        for i in range(len(self.weights) - 1, -1, -1):
             grads[f"w{i}"] = dz.T @ acts[i]
             grads[f"b{i}"] = dz.sum(axis=0)
             if i > 0:
                 da = dz @ self.weights[i]
                 dz = da * (1.0 - acts[i] ** 2)
         return loss, grads
-
-
-def dense_forward(net: DenseNet, x) -> np.ndarray:
-    """Forward pass for a single input vector: forward_rows on one row."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (net.input_size,):
-        raise ValueError(f"expected input of shape ({net.input_size},), got {x.shape}")
-    return net.forward_rows(x[None, :])[0]
-
-
-@dataclass
-class LstmState:
-    hidden: np.ndarray
-    cell: np.ndarray
-
-    @classmethod
-    def zeros(cls, hidden_size):
-        return cls(np.zeros(hidden_size), np.zeros(hidden_size))
 
 
 class LstmNet:
@@ -187,12 +171,13 @@ class LstmNet:
         hidden, cell = self._advance((self.w @ v[:, :, None])[:, :, 0] + self.b, cell)
         return (self.w_out @ hidden[:, :, None])[:, :, 0] + self.b_out, hidden, cell
 
-    def step(self, state: LstmState, x):
-        """step_rows on one row, with plain matrix-vector products: they
-        round as the stacked ones do, and cost less on a single row."""
-        x = np.asarray(x, dtype=float)
-        hidden, cell = self._advance(self.w @ np.concatenate([x, state.hidden]) + self.b, state.cell)
-        return self.w_out @ hidden + self.b_out, LstmState(hidden, cell)
+    def step(self, hidden, cell, x):
+        """step_rows on one row: (H,) hidden and cell state and an (in,)
+        input -> (out,) output, new hidden, new cell. Its plain
+        matrix-vector products round as the stacked ones do, and cost less
+        on a single row."""
+        hidden, cell = self._advance(self.w @ np.concatenate([x, hidden]) + self.b, cell)
+        return self.w_out @ hidden + self.b_out, hidden, cell
 
     def sequence_loss_grads(self, inputs, targets):
         """Full-sequence backprop through time from zero initial state.
@@ -309,27 +294,6 @@ def adam_step(params, grads, state: AdamState):
         v_hat = state.v[k] / bc2
         out[k] = p - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
     return out, state
-
-
-def gradient_check(net, inputs, targets, h=1e-5):
-    """Max relative error of analytic vs central-difference gradients."""
-    _, grads = net.sequence_loss_grads(inputs, targets)
-    params = net.params()
-    worst = 0.0
-    for name, arr in params.items():
-        flat = arr.ravel()
-        gflat = np.asarray(grads[name]).ravel()
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + h
-            up, _ = net.sequence_loss_grads(inputs, targets)
-            flat[idx] = orig - h
-            down, _ = net.sequence_loss_grads(inputs, targets)
-            flat[idx] = orig
-            numeric = (up - down) / (2.0 * h)
-            denom = max(abs(gflat[idx]) + abs(numeric), 1e-8)
-            worst = max(worst, abs(gflat[idx] - numeric) / denom)
-    return worst
 
 
 def save_checkpoint(net, path, train_config=None):

@@ -21,7 +21,6 @@ import numpy as np
 from gazehead.controllers import Controller, combined_inputs
 from gazehead.dataset import COLUMNS, TASK_ORDER, Task, Trajectory
 from gazehead.geometry import HeadOrientation, Vec3, norm, rotate_head
-from gazehead.nn import LstmState
 
 
 class ZeroController(Controller):
@@ -46,9 +45,9 @@ def lstm_predict_loop(controller, xs, dts):
         if net.input_size == 6:
             x = combined_inputs(x)
         pred = np.empty((x.shape[0], 2))
-        state = LstmState.zeros(net.hidden_size)
+        hidden, cell = np.zeros((2, net.hidden_size))
         for i in range(x.shape[0]):
-            y, state = net.step(state, x[i])
+            y, hidden, cell = net.step(hidden, cell, x[i])
             pred[i] = y * (dt * controller.train_rate_hz)
         preds.append(pred)
     return preds
@@ -161,6 +160,26 @@ def central_diff(f, x, h=1e-5):
 
 def rel_err(analytic, numeric, floor=1e-8):
     return abs(analytic - numeric) / max(abs(analytic) + abs(numeric), floor)
+
+
+def gradient_check(net, inputs, targets, h=1e-5):
+    """Max rel_err of a network's analytic sequence gradients against
+    central_diff of its loss, one parameter element at a time."""
+    _, grads = net.sequence_loss_grads(inputs, targets)
+    worst = 0.0
+    for name, arr in net.params().items():
+        flat = arr.ravel()  # a view: writes reach the network
+        for idx, analytic in enumerate(np.ravel(grads[name])):
+            orig = flat[idx]
+
+            def loss(value):
+                flat[idx] = value
+                return net.sequence_loss_grads(inputs, targets)[0]
+
+            numeric = central_diff(loss, orig, h)
+            flat[idx] = orig
+            worst = max(worst, rel_err(analytic, numeric))
+    return worst
 
 
 def focal_point_scalar(lo, ld, ro, rd):

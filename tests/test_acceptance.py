@@ -24,10 +24,10 @@ from gazehead.controllers import (
 from gazehead.dataset import SplitSpec, Task, TaskConfig, generate_participant, split
 from gazehead.exosim import EmaFilter, ExoLimits, ExoSim
 from gazehead.geometry import Ray, focal_point
-from gazehead.nn import DenseNet, LstmNet, gradient_check
+from gazehead.nn import DenseNet, LstmNet
 from gazehead.rollout import RolloutConfig, evaluate_suite
 from gazehead.training import TrainConfig, fit, fit_vector_axis
-from oracles import control_law_mp, grid_closest_point
+from oracles import control_law_mp, gradient_check, grid_closest_point
 
 
 @contextlib.contextmanager

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from gazehead.controllers import (
     vector_step,
 )
 from gazehead.geometry import pitch_yaw_to_dir, vec3
-from gazehead.nn import DenseNet, LstmNet, LstmState, dense_forward
+from gazehead.nn import DenseNet, LstmNet, save_checkpoint
 from oracles import control_law_mp, lstm_predict_loop
 
 QP = QuadrantParams()
@@ -155,7 +156,7 @@ def test_mlp_controller_zero_net():
     assert ctrl.step(left, right, vec3(0, 0, 1), 1 / 90) == (0.0, 0.0)
 
 
-def test_mlp_controller_delegates_to_dense_forward():
+def test_mlp_controller_delegates_to_one_row_forward():
     net = DenseNet([9, 16, 2], seed=2)
     ctrl = MlpController(net, train_rate_hz=90.0)
     rng = np.random.default_rng(59)
@@ -164,7 +165,7 @@ def test_mlp_controller_delegates_to_dense_forward():
         r = rng.normal(size=3)
         h = rng.normal(size=3)
         l, r, h = (u / np.linalg.norm(u) for u in (l, r, h))
-        out = dense_forward(net, np.concatenate([l, r, h]))
+        out = net.forward_rows(np.concatenate([l, r, h])[None])[0]
         got = ctrl.step(l, r, h, 1 / 90)
         assert abs(got[0] - out[0]) < 1e-15
         assert abs(got[1] - out[1]) < 1e-15
@@ -187,7 +188,7 @@ def test_lstm_controller_zero_net():
     ctrl = LstmController(net)
     left, right = gaze_dirs(3, -7)
     assert ctrl.step(left, right, vec3(0, 0, 1), 1 / 45) == (0.0, 0.0)
-    assert np.array_equal(ctrl.state.hidden, np.zeros(4))
+    assert np.array_equal(ctrl.hidden, np.zeros((1, 4)))
 
 
 def test_lstm_controller_delegates_and_is_stateful():
@@ -197,10 +198,10 @@ def test_lstm_controller_delegates_and_is_stateful():
     b = gaze_dirs(0, 12)[0]
     head = vec3(0, 0, 1)
 
-    expect, state = net.step(LstmState.zeros(4), np.concatenate([a, a, head]))
+    expect, hidden, _ = net.step(np.zeros(4), np.zeros(4), np.concatenate([a, a, head]))
     got = ctrl.step(a, a, head, 1 / 45)
     assert abs(got[0] - expect[0]) < 1e-15 and abs(got[1] - expect[1]) < 1e-15
-    assert np.array_equal(ctrl.state.hidden, state.hidden)
+    assert np.array_equal(ctrl.hidden, hidden[None])
 
     ctrl.reset()
     ab = [ctrl.step(a, a, head, 1 / 45), ctrl.step(b, b, head, 1 / 45)][-1]
@@ -227,8 +228,8 @@ def test_lstm_predict_leaves_a_live_controller_alone():
             out.append(ctrl.step(x[0:3], x[3:6], x[6:9], 1 / 45))
         live.predict([xs[:3], xs[:1]], [1 / 45, 1 / 90])
         assert live.faulted == control.faulted == (k == 3)
-        assert live.state.hidden.tobytes() == control.state.hidden.tobytes()
-        assert live.state.cell.tobytes() == control.state.cell.tobytes()
+        assert live.hidden.tobytes() == control.hidden.tobytes()
+        assert live.cell.tobytes() == control.cell.tobytes()
     assert ticks[0] == ticks[1]
 
 
@@ -267,8 +268,47 @@ def test_lstm_step_rows_equal_step_per_row_and_latch_faults():
             expect = ctrl.step(xs[step, r, 0:3], xs[step, r, 3:6], xs[step, r, 6:9], 1 / 45)
             assert tuple(out[r]) == expect
             assert faults[r] == (step == 1 and r == 0)
-            assert batched.row_state.hidden[r].tobytes() == ctrl.state.hidden.tobytes()
+            assert batched.hidden[r].tobytes() == ctrl.hidden[0].tobytes()
+            assert batched.cell[r].tobytes() == ctrl.cell[0].tobytes()
     assert batched.faulted and batched.row_faulted.tolist() == [True, False, False]
+
+
+def test_lstm_step_advances_row_0_and_leaves_the_other_rows_alone():
+    # rows 1 and 2 take a lockstep step; row 0 is still fresh, so step
+    # gives a fresh controller's bits, and it never touches rows 1 and 2
+    net = LstmNet(9, 4, seed=3)
+    ctrl, fresh = LstmController(net), LstmController(net)
+    ctrl.reset_rows(3)
+    x = np.random.default_rng(12).normal(size=(2, 9))
+    ctrl.step_rows(x, np.full(2, 1 / 45), np.array([1, 2]))
+    hidden, cell = ctrl.hidden[1:].copy(), ctrl.cell[1:].copy()
+    assert hidden.all() and cell.all()
+    head = vec3(0, 0, 1)
+    for pitch, yaw in ((5, 0), (-3, 12), (9, -14)):
+        left, right = gaze_dirs(pitch, yaw)
+        got = ctrl.step(left, right, head, 1 / 45)
+        expect = fresh.step(left, right, head, 1 / 45)
+        assert np.array(got).tobytes() == np.array(expect).tobytes()
+        assert ctrl.hidden[0].tobytes() == fresh.hidden[0].tobytes()
+        assert ctrl.cell[0].tobytes() == fresh.cell[0].tobytes()
+    assert ctrl.hidden[1:].tobytes() == hidden.tobytes()
+    assert ctrl.cell[1:].tobytes() == cell.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_lstm_reset_after_lockstep_leaves_one_zero_row_and_a_clear_latch():
+    ctrl = LstmController(LstmNet(9, 4, seed=3))
+    ctrl.reset_rows(3)
+    x = np.random.default_rng(13).normal(size=(3, 9))
+    x[0, 0] = np.nan
+    _, faults = ctrl.step_rows(x, np.full(3, 1 / 45), np.arange(3))
+    assert faults.tolist() == [True, False, False] and ctrl.faulted
+    assert ctrl.hidden[1:].any()
+    ctrl.reset()
+    assert not ctrl.faulted
+    assert ctrl.row_faulted.tolist() == [False]
+    for state in (ctrl.hidden, ctrl.cell):
+        assert state.shape == (1, 4) and not state.any()
 
 
 def test_controller_config_roundtrip(tmp_path):
@@ -292,6 +332,44 @@ def test_controller_config_roundtrip(tmp_path):
         assert loaded.family == ctrl.family
         assert loaded.name == ctrl.name
         assert loaded.step(left, right, head, 1 / 90) == ctrl.step(left, right, head, 1 / 90)
+
+
+def write_net_config(tmp_path, family, net, tick_rate_hz=None):
+    """A controller config of ``family`` over a checkpoint of ``net``."""
+    save_checkpoint(net, tmp_path / "net.ckpt.json")
+    config = {"family": family, "name": family, "params": {"checkpoint": "net.ckpt.json"}}
+    if tick_rate_hz is not None:
+        config["tick_rate_hz"] = tick_rate_hz
+    path = tmp_path / f"{family}.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "family, net, tick_rate_hz, reason",
+    [
+        ("lstm", LstmNet(9, 4, output_size=3), None,
+         "lstm controller needs LstmNet with 6 or 9 inputs and 2 outputs, got 9 inputs and 3 outputs"),
+        ("mlp", DenseNet([6, 8, 2]), None,
+         "mlp controller needs DenseNet with 9 inputs and 2 outputs, got 6 inputs and 2 outputs"),
+        ("lstm", LstmNet(7, 4), None,
+         "lstm controller needs LstmNet with 6 or 9 inputs and 2 outputs, got 7 inputs and 2 outputs"),
+        ("lstm", DenseNet([9, 8, 2]), None,
+         "lstm controller needs LstmNet with 6 or 9 inputs and 2 outputs, got DenseNet"),
+        ("mlp", DenseNet([9, 8, 2]), 0, "train_rate_hz must be positive and finite, got 0.0"),
+        ("lstm", LstmNet(9, 4), float("inf"), "train_rate_hz must be positive and finite, got inf"),
+    ],
+    ids=["lstm-3-outputs", "mlp-6-inputs", "lstm-7-inputs", "lstm-on-dense", "rate-0", "rate-inf"],
+)
+def test_load_controller_rejects_a_network_or_rate_its_family_cannot_run(
+    tmp_path, family, net, tick_rate_hz, reason
+):
+    # checked once, when the controller is built, and named by file
+    path = write_net_config(tmp_path, family, net, tick_rate_hz)
+    with pytest.raises(ValueError) as info:
+        load_controller(path)
+    ckpt = tmp_path / "net.ckpt.json"
+    assert str(info.value) == f"{path} (checkpoint {ckpt}): {reason}"
 
 
 GOLDEN_QUADRANT = """{

@@ -401,6 +401,28 @@ def test_first_bad_line_wins_over_a_later_json_error(tmp_path):
     assert err.reason == "field left_dir is not a 3-vector"
 
 
+def test_non_utf8_line_is_named_after_the_rows_before_it(tmp_path):
+    # lines are decoded one at a time, so the error names the line; the
+    # bad byte sits well past the first read, and a bad row buffered ahead
+    # of it is still named first
+    path = tmp_path / "bad.jsonl"
+    rows = [sample_row(0.01 * k) for k in range(300)]
+    tail = b'{"t": 3.0, "\xff": 0}\n' + sample_row(3.1).encode() + b"\n"
+    path.write_bytes("\n".join([HEADER, *rows, ""]).encode() + tail)
+    with pytest.raises(TrajectoryFormatError) as err:
+        load_trajectories(path)
+    assert str(err.value) == f"{path}: line 302: not valid UTF-8 (invalid start byte)"
+    rows[1] = sample_row(0.01, ld=[0.0, 0.0, 0.8])
+    path.write_bytes("\n".join([HEADER, *rows, ""]).encode() + tail)
+    with pytest.raises(TrajectoryFormatError) as err:
+        load_trajectories(path)
+    assert err.value.line_number == 3 and "left_dir" in err.value.reason
+    # a line that is not ASCII but is UTF-8 loads
+    row = sample_row(0.0, note="@").replace('"@"', '"café"')
+    path.write_text("\n".join([HEADER, row, ""]), encoding="utf-8")
+    assert len(load_trajectories(path)[0]) == 1
+
+
 def test_non_monotonic_timestamp_wins_over_a_later_missing_key(tmp_path):
     bad = json.loads(sample_row(0.2))
     del bad["rd"]

@@ -4,18 +4,17 @@ import json
 import numpy as np
 import pytest
 
+from gazehead.controllers import MlpController
 from gazehead.nn import (
     AdamState,
     DenseNet,
     LstmNet,
-    LstmState,
     adam_step,
-    dense_forward,
-    gradient_check,
     load_checkpoint,
     _lstm_gates,
     save_checkpoint,
 )
+from oracles import gradient_check
 
 
 def zeroed(net):
@@ -24,9 +23,18 @@ def zeroed(net):
     return net
 
 
+def forward_one_row(net, x):
+    """The net on one input vector."""
+    return net.forward_rows(x[None])[0]
+
+
+def zero_state(hidden_size):
+    return np.zeros(hidden_size), np.zeros(hidden_size)
+
+
 def test_dense_zero_net_outputs_zero():
     net = zeroed(DenseNet([9, 8, 2]))
-    assert np.array_equal(dense_forward(net, np.ones(9)), [0.0, 0.0])
+    assert np.array_equal(forward_one_row(net, np.ones(9)), [0.0, 0.0])
 
 
 def test_dense_hand_computed_oracle():
@@ -41,7 +49,7 @@ def test_dense_hand_computed_oracle():
             "b1": np.array([-0.05, 0.15]),
         }
     )
-    out = dense_forward(net, np.array([0.7]))
+    out = forward_one_row(net, np.array([0.7]))
     assert abs(out[0] - 0.15950585903305242) < 1e-12
     assert abs(out[1] - 0.15066675747525457) < 1e-12
 
@@ -49,24 +57,27 @@ def test_dense_hand_computed_oracle():
 def test_dense_output_layer_is_linear():
     net = DenseNet([4, 5, 2], seed=1)
     x = np.random.default_rng(2).normal(size=4)
-    base = dense_forward(net, x)
+    base = forward_one_row(net, x)
     net.weights[-1] = net.weights[-1] * 2
     net.biases[-1] = net.biases[-1] * 2
-    assert np.allclose(dense_forward(net, x), 2 * base, atol=1e-14)
+    assert np.allclose(forward_one_row(net, x), 2 * base, atol=1e-14)
 
 
 def test_dense_shape_mismatch():
-    net = DenseNet([9, 8, 2])
-    with pytest.raises(ValueError):
-        dense_forward(net, np.ones(6))
+    # a dense net meets its 9 inputs and 2 outputs once, when its
+    # controller is built, not on every forward
+    for sizes in ([6, 8, 2], [9, 8, 3], [9, 2, 8, 1]):
+        with pytest.raises(ValueError, match="needs DenseNet with 9 inputs and 2 outputs"):
+            MlpController(DenseNet(sizes))
+    MlpController(DenseNet([9, 8, 2]))
 
 
 def test_lstm_zero_net_stays_zero():
     net = zeroed(LstmNet(9, 4))
-    y, state = net.step(LstmState.zeros(4), np.ones(9))
+    y, hidden, cell = net.step(*zero_state(4), np.ones(9))
     assert np.array_equal(y, [0.0, 0.0])
-    assert np.array_equal(state.cell, np.zeros(4))
-    assert np.array_equal(state.hidden, np.zeros(4))
+    assert np.array_equal(cell, np.zeros(4))
+    assert np.array_equal(hidden, np.zeros(4))
 
 
 def test_lstm_hand_computed_oracle():
@@ -81,11 +92,11 @@ def test_lstm_hand_computed_oracle():
             "b_out": np.array([-0.1, 0.2]),
         }
     )
-    y, state = net.step(LstmState.zeros(1), np.array([0.5]))
+    y, hidden, cell = net.step(*zero_state(1), np.array([0.5]))
     assert abs(y[0] - -0.00797495501627872) < 1e-12
     assert abs(y[1] - 0.1386499700108525) < 1e-12
-    assert abs(state.hidden[0] - 0.0766875374864344) < 1e-12
-    assert abs(state.cell[0] - 0.14367359277093478) < 1e-12
+    assert abs(hidden[0] - 0.0766875374864344) < 1e-12
+    assert abs(cell[0] - 0.14367359277093478) < 1e-12
 
 
 def test_lstm_closed_gates_make_cell_memoryless():
@@ -96,18 +107,18 @@ def test_lstm_closed_gates_make_cell_memoryless():
     net.b[hs : 2 * hs] = -60.0  # forget gate ~ 0
     net.b[3 * hs :] = -60.0  # output gate ~ 0, so hidden stays ~ 0
     x = np.array([0.4, -0.2, 0.9])
-    _, s1 = net.step(LstmState.zeros(hs), x)
-    _, s2 = net.step(s1, x)
-    assert np.all(np.abs(s2.cell - s1.cell) < 1e-9)
+    _, h1, c1 = net.step(*zero_state(hs), x)
+    _, _, c2 = net.step(h1, c1, x)
+    assert np.all(np.abs(c2 - c1) < 1e-9)
 
 
 def test_lstm_statefulness():
     net = LstmNet(3, 4, seed=4)
     a = np.array([1.0, 0.0, 0.0])
     b = np.array([0.0, 1.0, 0.0])
-    _, s_ab = net.step(net.step(LstmState.zeros(4), a)[1], b)
-    _, s_ba = net.step(net.step(LstmState.zeros(4), b)[1], a)
-    assert not np.allclose(s_ab.hidden, s_ba.hidden, atol=1e-9)
+    _, h_ab, _ = net.step(*net.step(*zero_state(4), a)[1:], b)
+    _, h_ba, _ = net.step(*net.step(*zero_state(4), b)[1:], a)
+    assert not np.allclose(h_ab, h_ba, atol=1e-9)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

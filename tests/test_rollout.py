@@ -44,8 +44,8 @@ class ReplayController(Controller):
         self.deltas = deltas
         self.i = 0
 
-    def reset(self):
-        super().reset()
+    def reset_rows(self, rows):
+        super().reset_rows(rows)
         self.i = 0
 
     def step(self, left_dir, right_dir, head_dir, dt):
@@ -62,8 +62,8 @@ class FaultyController(Controller):
         self.fail_at = fail_at
         self.i = 0
 
-    def reset(self):
-        super().reset()
+    def reset_rows(self, rows):
+        super().reset_rows(rows)
         self.i = 0
 
     def step(self, left_dir, right_dir, head_dir, dt):

@@ -48,8 +48,8 @@ class ReplayController(Controller):
         self.deltas = deltas
         self.i = 0
 
-    def reset(self):
-        super().reset()
+    def reset_rows(self, rows):
+        super().reset_rows(rows)
         self.i = 0
 
     def step(self, left_dir, right_dir, head_dir, dt):

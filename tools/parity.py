@@ -84,7 +84,8 @@ def pipeline():
 
 # Corruptions of MALFORMED_SOURCE, one file each: per edit, the 0-based
 # line, the key, and the raw JSON text its value becomes (None deletes the
-# key; a key of None replaces the whole line). Line 0 is the header.
+# key; a key of None replaces the whole line). Line 0 is the header. The
+# files are written with surrogateescape, so "\udcff" is the byte 0xff.
 MALFORMED_SOURCE = "data45/p000_linear-pursuit_t00.jsonl"
 MALFORMED = {
     "missing-key": [(3, "rd", None)],
@@ -98,6 +99,7 @@ MALFORMED = {
     "later-json-error": [(12, "t", "0.0"), (30, None, '{"t": 1.0, "head_pos": [0.0,')],
     "participant-1.7": [(0, "participant", "1.7")],
     "valid-string": [(8, "valid", '"false"')],
+    "non-utf8": [(40, "valid", 'true, "\udcff": 0')],
 }
 
 
@@ -136,7 +138,8 @@ def run_pipeline(tree: Path, out: Path):
     bad.mkdir()
     source = (out / MALFORMED_SOURCE).read_text(encoding="utf-8").splitlines()
     for name, edits in MALFORMED.items():
-        (bad / f"{name}.jsonl").write_text("\n".join(corrupted(source, edits)) + "\n", encoding="utf-8")
+        (bad / f"{name}.jsonl").write_text("\n".join(corrupted(source, edits)) + "\n",
+                                           encoding="utf-8", errors="surrogateescape")
         stderr = run(["rollout", "--controller", "quadrant.json", "--data", f"malformed/{name}.jsonl",
                       "--seed", "3", "--out", f"malformed/{name}.table.json"], out, env, tree, status=1)
         (bad / f"{name}.stderr").write_text(stderr, encoding="utf-8")
