@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import dataset as ds
 from .controllers import load_controller, save_controller
-from .exosim import ExoLimits, ExoSim
+from .exosim import SAMPLES_PER_TICK, SENSOR_RATE_HZ, EmaFilter, ExoLimits, ExoSim
 from .rollout import ROW_KEYS, EvalRow, EvalTable, RolloutConfig, evaluate_suite
 from .training import TrainConfig, fit
 
@@ -100,10 +101,9 @@ def cmd_train(args):
     trajs = _load_dir(args.data)
     spec = _split_ids(args, trajs)
     train, test = ds.split(trajs, spec)
-    hidden = tuple(int(h) for h in args.hidden.split(",")) if args.hidden else (8,)
     config = TrainConfig(
         family=args.family,
-        hidden=hidden,
+        hidden=args.hidden,
         learning_rate=args.lr,
         epochs=args.epochs,
         seed=args.seed,
@@ -181,8 +181,8 @@ def cmd_evaluate(args):
     return 0
 
 
-def _synthetic_gaze(n, seed, rate_hz=200.0):
-    """Seeded fixate-and-jump gaze pattern with sensor jitter, degrees."""
+def _synthetic_gaze(n, seed):
+    """Seeded fixate-and-jump gaze pattern at SENSOR_RATE_HZ with sensor jitter, degrees."""
     rng = np.random.default_rng([int(seed), 424242])
     out = np.empty((n, 2))
     target = np.zeros(2)
@@ -190,10 +190,35 @@ def _synthetic_gaze(n, seed, rate_hz=200.0):
     for i in range(n):
         if hold == 0:
             target = rng.uniform((-20, -35), (20, 35))
-            hold = rng.integers(int(0.3 * rate_hz), int(2.0 * rate_hz))
+            hold = rng.integers(int(0.3 * SENSOR_RATE_HZ), int(2.0 * SENSOR_RATE_HZ))
         out[i] = target + rng.normal(0, 0.8, 2)
         hold -= 1
     return out
+
+
+def _read_gaze(path):
+    """(pitch_deg, yaw_deg) per data row of a gaze CSV: the last two fields
+    of each row; blank rows and rows whose first field starts with ``t``
+    (the header) are skipped. A row with fewer than two fields, or whose
+    last two are not finite numbers, raises ValueError naming the file and
+    line."""
+    stream = []
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.reader(f)
+        for row in reader:
+            if not row or row[0].startswith("t"):
+                continue
+            where = f"{path}: line {reader.line_num}"
+            if len(row) < 2:
+                raise ValueError(f"{where}: fewer than two fields (pitch_deg, yaw_deg)")
+            try:
+                pitch, yaw = float(row[-2]), float(row[-1])
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from exc
+            if not (math.isfinite(pitch) and math.isfinite(yaw)):
+                raise ValueError(f"{where}: pitch and yaw must be finite, got {row[-2]}, {row[-1]}")
+            stream.append((pitch, yaw))
+    return stream
 
 
 def cmd_exosim(args):
@@ -205,15 +230,10 @@ def cmd_exosim(args):
         max_speed=args.max_speed,
     )
     if args.gaze:
-        stream = []
-        with open(args.gaze, newline="", encoding="utf-8") as f:
-            for row in csv.reader(f):
-                if not row or row[0].startswith("t"):
-                    continue
-                vals = [float(v) for v in row]
-                stream.append((vals[-2], vals[-1]))
+        stream = _read_gaze(args.gaze)
     else:
-        stream = [(float(p), float(y)) for p, y in _synthetic_gaze(args.ticks * 4, args.seed)]
+        gaze = _synthetic_gaze(max(args.ticks, 0) * SAMPLES_PER_TICK, args.seed)
+        stream = [(float(p), float(y)) for p, y in gaze]
     sim = ExoSim(controller, limits=limits, alpha=args.alpha)
     pose_log = sim.run(stream)
     with open(args.out, "w", newline="", encoding="utf-8") as f:
@@ -255,6 +275,11 @@ def cmd_report(args):
     return 0
 
 
+def _sizes(text):
+    """Layer sizes from a comma-separated list."""
+    return tuple(int(h) for h in text.split(","))
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="gazehead",
@@ -268,24 +293,29 @@ def build_parser():
     p.add_argument("--trials-per-task", type=int, default=0,
                    help="default keeps 12 trials per participant split across the selected tasks")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--duration", type=float, default=90.0, help="seconds per trial (default 90)")
-    p.add_argument("--rate", type=float, default=90.0, help="samples per second (default 90)")
+    p.add_argument("--duration", type=float, default=ds.TaskConfig.duration,
+                   help="seconds per trial (default %(default)g)")
+    p.add_argument("--rate", type=float, default=ds.TaskConfig.rate_hz,
+                   help="samples per second (default %(default)g)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("train", help="fit a controller on trajectory data")
     p.add_argument("--family", choices=["quadrant", "vector", "mlp", "lstm"], required=True)
-    p.add_argument("--hidden", default="", help="comma-separated hidden sizes (mlp) or H (lstm); default 8")
+    p.add_argument("--hidden", type=_sizes, default=TrainConfig.hidden,
+                   help="comma-separated hidden sizes (mlp) or H (lstm); default "
+                        + ",".join(map(str, TrainConfig.hidden)))
     p.add_argument("--data", required=True)
     p.add_argument("--split", help="JSON file with train/test participant ids")
     p.add_argument("--train-ids", default="", help="comma-separated participant ids")
     p.add_argument("--test-ids", default="")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=50, help="always run in full (no early stopping)")
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--lstm-input", type=int, default=9, choices=[6, 9])
-    p.add_argument("--vector-iterations", type=int, default=3000)
-    p.add_argument("--vector-lr", type=float, default=0.05)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs,
+                   help="always run in full (no early stopping)")
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--lstm-input", type=int, default=TrainConfig.lstm_input, choices=[6, 9])
+    p.add_argument("--vector-iterations", type=int, default=TrainConfig.vector_iterations)
+    p.add_argument("--vector-lr", type=float, default=TrainConfig.vector_learning_rate)
     p.add_argument("--name", default=None)
     p.add_argument("--out", required=True, help="controller config JSON path")
     p.add_argument("--report", help="write the training report JSON here instead of stdout")
@@ -295,7 +325,8 @@ def build_parser():
     p.add_argument("--controller", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise", type=float, default=0.5, help="gaze noise sigma in degrees")
+    p.add_argument("--noise", type=float, default=RolloutConfig.noise_sigma_deg,
+                   help="gaze noise sigma in degrees")
     p.add_argument("--duration-cap", type=float, default=None)
     p.add_argument("--out", required=True, help="result JSON path")
     p.add_argument("--steps-csv", help="optional per-step squared-error CSV")
@@ -305,7 +336,7 @@ def build_parser():
     p.add_argument("--controllers", nargs="+", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise", type=float, default=0.5)
+    p.add_argument("--noise", type=float, default=RolloutConfig.noise_sigma_deg)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True, help="table JSON path")
     p.add_argument("--csv", help="optional per-trajectory CSV")
@@ -313,14 +344,17 @@ def build_parser():
 
     p = sub.add_parser("exosim", help="run a controller through the robot control loop")
     p.add_argument("--controller", required=True)
-    p.add_argument("--gaze", help="CSV of gaze angles at 200 Hz; default: synthetic stream")
-    p.add_argument("--ticks", type=int, default=500, help="synthetic stream length in 50 Hz ticks")
+    p.add_argument("--gaze", help="CSV of gaze angles at the sensor rate: a header line starting "
+                   "with t, then t, pitch_deg, yaw_deg rows; default: synthetic stream")
+    p.add_argument("--ticks", type=int, default=500, help="synthetic stream length in control ticks")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--flexion-max", type=float, default=25.0, help="forward pitch limit, deg")
-    p.add_argument("--extension-max", type=float, default=-3.0, help="backward pitch limit, deg")
-    p.add_argument("--yaw-limit", type=float, default=30.0, help="side-to-side limit, deg")
-    p.add_argument("--max-speed", type=float, default=1.0, help="rad/s")
-    p.add_argument("--alpha", type=float, default=0.1, help="EMA smoothing factor")
+    p.add_argument("--flexion-max", type=float, default=ExoLimits.flexion_max,
+                   help="forward pitch limit, deg")
+    p.add_argument("--extension-max", type=float, default=ExoLimits.extension_max,
+                   help="backward pitch limit, deg")
+    p.add_argument("--yaw-limit", type=float, default=ExoLimits.yaw_limit, help="side-to-side limit, deg")
+    p.add_argument("--max-speed", type=float, default=ExoLimits.max_speed, help="rad/s")
+    p.add_argument("--alpha", type=float, default=EmaFilter.alpha, help="EMA smoothing factor")
     p.add_argument("--out", required=True, help="pose log CSV path")
     p.set_defaults(func=cmd_exosim)
 

@@ -252,15 +252,17 @@ class VectorController(_LawController):
 
 class _NetController(Controller):
     """A learned family: ``net`` emits the per-tick delta at
-    ``train_rate_hz``; at other tick lengths the delta scales by
-    dt * train_rate_hz. The network's type and shape, and the rate, are
-    checked once, here, so a bad checkpoint fails before the first step.
+    ``train_rate_hz`` (the family's ``default_rate_hz`` when not given); at
+    other tick lengths the delta scales by dt * train_rate_hz. The
+    network's type and shape, and the rate, are checked once, here, so a
+    bad checkpoint fails before the first step.
     """
 
     net_type = None
     input_sizes = ()
+    default_rate_hz = None
 
-    def __init__(self, net, train_rate_hz=90.0, name=None):
+    def __init__(self, net, train_rate_hz=None, name=None):
         super().__init__(name)
         wanted = (f"{self.net_type.__name__} with {' or '.join(map(str, self.input_sizes))} "
                   "inputs and 2 outputs")
@@ -269,7 +271,7 @@ class _NetController(Controller):
         if net.input_size not in self.input_sizes or net.output_size != 2:
             raise ValueError(f"{self.family} controller needs {wanted}, got "
                              f"{net.input_size} inputs and {net.output_size} outputs")
-        rate = float(train_rate_hz)
+        rate = float(self.default_rate_hz if train_rate_hz is None else train_rate_hz)
         if not (math.isfinite(rate) and rate > 0):
             raise ValueError(f"train_rate_hz must be positive and finite, got {rate!r}")
         self.net = net
@@ -282,6 +284,7 @@ class MlpController(_NetController):
     family = "mlp"
     net_type = DenseNet
     input_sizes = (9,)
+    default_rate_hz = 90.0
 
     def step(self, left_dir, right_dir, head_dir, dt):
         x = np.concatenate([left_dir, right_dir, head_dir])
@@ -313,8 +316,9 @@ class LstmController(_NetController):
     stateful = True
     net_type = LstmNet
     input_sizes = (6, 9)
+    default_rate_hz = 45.0
 
-    def __init__(self, net: LstmNet, train_rate_hz=45.0, name=None):
+    def __init__(self, net: LstmNet, train_rate_hz=None, name=None):
         super().__init__(net, train_rate_hz, name)
         self.reset_rows(1)
 
@@ -373,22 +377,19 @@ class LstmController(_NetController):
         return preds
 
 
-def save_controller(controller: Controller, path, checkpoint_path=None, extra_config=None):
+def save_controller(controller: Controller, path, extra_config=None):
     """Write the controller config JSON; net-backed families also write a
-    checkpoint next to it (referenced by relative path)."""
+    checkpoint beside it, ``<path stem>.ckpt.json``, named by file name."""
     path = os.fspath(path)
     config = {"family": controller.family, "name": controller.name}
     if controller.family in ("quadrant", "vector"):
         config["tick_rate_hz"] = 90.0
         config["params"] = asdict(controller.params)
     elif controller.family in ("mlp", "lstm"):
-        if checkpoint_path is None:
-            checkpoint_path = os.path.splitext(path)[0] + ".ckpt.json"
+        checkpoint_path = os.path.splitext(path)[0] + ".ckpt.json"
         save_checkpoint(controller.net, checkpoint_path, train_config=extra_config)
         config["tick_rate_hz"] = controller.train_rate_hz
-        config["params"] = {
-            "checkpoint": os.path.relpath(checkpoint_path, os.path.dirname(path) or ".")
-        }
+        config["params"] = {"checkpoint": os.path.basename(checkpoint_path)}
     else:
         raise ValueError(f"cannot save family {controller.family!r}")
     with open(path, "w", encoding="utf-8") as f:
@@ -397,9 +398,9 @@ def save_controller(controller: Controller, path, checkpoint_path=None, extra_co
 
 
 def load_controller(path) -> Controller:
-    """Build a controller from its config JSON. A network or tick rate its
-    family cannot run raises ValueError naming the config and checkpoint
-    files."""
+    """Build a controller from its config JSON. A malformed checkpoint, or
+    a network or tick rate its family cannot run, raises ValueError naming
+    the config and checkpoint files."""
     path = os.fspath(path)
     with open(path, encoding="utf-8") as f:
         config = json.load(f)
@@ -419,11 +420,12 @@ def load_controller(path) -> Controller:
         ckpt = params["checkpoint"]
         if not os.path.isabs(ckpt):
             ckpt = os.path.join(os.path.dirname(path), ckpt)
-        net, _ = load_checkpoint(ckpt)
-        rate = config.get("tick_rate_hz", 90.0 if family == "mlp" else 45.0)
         family_type = MlpController if family == "mlp" else LstmController
         try:
+            net, _ = load_checkpoint(ckpt)
+            rate = config.get("tick_rate_hz", family_type.default_rate_hz)
             return family_type(net, train_rate_hz=rate, name=name)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path} (checkpoint {ckpt}): {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise ValueError(f"{path} (checkpoint {ckpt}): {reason}") from exc
     raise ValueError(f"unknown controller family {family!r}")

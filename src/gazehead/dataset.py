@@ -413,45 +413,37 @@ def split(trajectories, spec: SplitSpec):
     return train, test
 
 
+# Task geometry and timing, the same for every trial (angles in degrees)
+CONE_HALF_ANGLE = 70.0  # per-axis view cone for any target
+SPAWN_CONE = 60.0  # per-axis spawn/waypoint cone
+LINEAR_SPEED = 5.0  # m/s
+ARC_ANGULAR_SPEED = 1.0  # rad/s
+SPAWN_DISTANCE = 10.0  # m, rapid-task spawn radius
+APPROACH_SPEED = 1.0  # m/s, rapid-task cubes toward the subject
+REACH_RADIUS = 0.5  # m; also the cube edge length
+FIXATION_TIME = 0.3  # s of fixation before a respawn
+# fractional spread of the pursuit parameters across participants; each
+# synthetic subject draws its own gain/deadzone/sharpness
+SUBJECT_SPREAD = 0.15
+
+
 @dataclass
 class TaskConfig:
-    """Geometry and timing of the synthetic tasks (angles in degrees)."""
+    """Trial length and rate, and the head oracle's pursuit and motor noise
+    (angles in degrees); the task geometry is the module constants above."""
 
-    cone_half_angle: float = 70.0  # per-axis view cone for any target
-    linear_speed: float = 5.0  # m/s
-    arc_angular_speed: float = 1.0  # rad/s
-    spawn_distance: float = 10.0  # m, rapid-task spawn radius
-    fixation_time: float = 0.3  # s of fixation before a respawn
-    spawn_cone: float = 60.0  # per-axis spawn/waypoint cone
     duration: float = 90.0  # s
     rate_hz: float = 90.0
-    approach_speed: float = 1.0  # m/s, rapid-task cubes toward the subject
-    reach_radius: float = 0.5  # m; also the cube edge length
-    fixation_tolerance: float = 2.0  # deg, angular size of "on target"
     head_lag_gain: float = 4.0  # 1/s, pursuit gain of the head oracle
     head_deadzone: float = 10.0  # deg, soft deadzone of the head oracle
     head_deadzone_sharpness: float = 0.5  # 1/deg
-    # fractional spread of the pursuit parameters across participants;
-    # each synthetic subject draws its own gain/deadzone/sharpness
-    subject_spread: float = 0.15
     # smooth head motor noise: stationary RMS (deg/s) and correlation time
     # (s) of an Ornstein-Uhlenbeck angular-velocity wander per axis
     motor_noise_rms: float = 3.0
     motor_noise_tau: float = 0.25
 
     def __post_init__(self):
-        if self.cone_half_angle > 90 or self.cone_half_angle <= 0:
-            raise ValueError("cone_half_angle must be in (0, 90]")
-        for name in (
-            "linear_speed",
-            "arc_angular_speed",
-            "spawn_distance",
-            "fixation_time",
-            "spawn_cone",
-            "duration",
-            "rate_hz",
-            "approach_speed",
-        ):
+        for name in ("duration", "rate_hz"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -482,38 +474,35 @@ def _sample_cone_point(rng, half_angle_deg, distance):
     return pitch_yaw_to_dir(pitch, yaw) * distance
 
 
-def _path_ok(pts, config):
+def _path_ok(pts):
     """Accept a pursuit path, given as (N, 3) points, only if it keeps
     1.5 m from the head and a 1 degree margin inside the view cone."""
     if np.min(np.linalg.norm(pts, axis=1)) < 1.5:
         return False
-    return _in_cone(pts, config.cone_half_angle - 1.0)
+    return _in_cone(pts, CONE_HALF_ANGLE - 1.0)
 
 
 class _LinearTargets:
     """Waypoint-to-waypoint straight motion at constant speed, with the
     leftover of a frame step carried into the next segment."""
 
-    def __init__(self, rng, config):
+    def __init__(self, rng):
         self.rng = rng
-        self.config = config
-        self.pos = _sample_cone_point(rng, config.spawn_cone, rng.uniform(3.0, 8.0))
+        self.pos = _sample_cone_point(rng, SPAWN_CONE, rng.uniform(3.0, 8.0))
         self.waypoint = self._next_waypoint()
 
     def _next_waypoint(self):
         for _ in range(1000):
-            candidate = _sample_cone_point(
-                self.rng, self.config.spawn_cone, self.rng.uniform(2.0, 10.0)
-            )
+            candidate = _sample_cone_point(self.rng, SPAWN_CONE, self.rng.uniform(2.0, 10.0))
             if np.linalg.norm(candidate - self.pos) < 0.5:
                 continue
             ts = np.linspace(0.0, 1.0, 2048)[:, None]
-            if _path_ok(self.pos + ts * (candidate - self.pos), self.config):
+            if _path_ok(self.pos + ts * (candidate - self.pos)):
                 return candidate
         raise RuntimeError("could not place a pursuit waypoint")
 
     def advance(self, dt):
-        remaining = self.config.linear_speed * dt
+        remaining = LINEAR_SPEED * dt
         while True:
             gap = norm(self.waypoint - self.pos)
             if gap > remaining:
@@ -527,10 +516,9 @@ class _LinearTargets:
 class _ArcTargets:
     """Circular-arc motion at constant angular speed about random centers."""
 
-    def __init__(self, rng, config):
+    def __init__(self, rng):
         self.rng = rng
-        self.config = config
-        self.pos = _sample_cone_point(rng, config.spawn_cone, rng.uniform(3.0, 8.0))
+        self.pos = _sample_cone_point(rng, SPAWN_CONE, rng.uniform(3.0, 8.0))
         self._new_arc()
 
     def _new_arc(self):
@@ -550,7 +538,7 @@ class _ArcTargets:
                 + radius * np.cos(thetas)[:, None] * u[None, :]
                 + radius * np.sin(thetas)[:, None] * w[None, :]
             )
-            if not _path_ok(pts, self.config):
+            if not _path_ok(pts):
                 continue
             self.center = center
             self.radius = radius
@@ -565,7 +553,7 @@ class _ArcTargets:
         return self.center + self.radius * (math.cos(theta) * self.u + math.sin(theta) * self.w)
 
     def advance(self, dt):
-        remaining = self.config.arc_angular_speed * dt
+        remaining = ARC_ANGULAR_SPEED * dt
         while True:
             left = abs(self.sweep) - abs(self.theta)
             if left > remaining:
@@ -582,9 +570,8 @@ class _RapidTargets:
     sustained fixation or on reaching the subject. The avoidance variant
     adds distractor cubes that are never gazed at."""
 
-    def __init__(self, rng, config, distractors=0):
+    def __init__(self, rng, distractors=0):
         self.rng = rng
-        self.config = config
         self.cubes = [self._spawn() for _ in range(3)]
         self.distractors = [self._spawn() for _ in range(distractors)]
         self.active = 0
@@ -592,12 +579,12 @@ class _RapidTargets:
         self.pos = self.cubes[0]
 
     def _spawn(self):
-        return _sample_cone_point(self.rng, self.config.spawn_cone, self.config.spawn_distance)
+        return _sample_cone_point(self.rng, SPAWN_CONE, SPAWN_DISTANCE)
 
     def _approach(self, p, dt):
         dist = norm(p)
-        step = self.config.approach_speed * dt
-        if dist - step <= self.config.reach_radius:
+        step = APPROACH_SPEED * dt
+        if dist - step <= REACH_RADIUS:
             return None  # reached the subject
         return p * ((dist - step) / dist)
 
@@ -614,7 +601,7 @@ class _RapidTargets:
             moved = self._approach(cube, dt)
             self.distractors[i] = self._spawn() if moved is None else moved
         self.fixation += dt
-        if self.fixation >= self.config.fixation_time:
+        if self.fixation >= FIXATION_TIME:
             self.cubes[self.active] = self._spawn()
             self._switch()
         self.pos = self.cubes[self.active]
@@ -625,15 +612,15 @@ class _RapidTargets:
         self.fixation = 0.0
 
 
-def _make_stepper(task, rng, config):
+def _make_stepper(task, rng):
     if task is Task.LINEAR_PURSUIT:
-        return _LinearTargets(rng, config)
+        return _LinearTargets(rng)
     if task is Task.ARC_PURSUIT:
-        return _ArcTargets(rng, config)
+        return _ArcTargets(rng)
     if task is Task.RAPID_SEARCH:
-        return _RapidTargets(rng, config)
+        return _RapidTargets(rng)
     if task is Task.RAPID_AVOIDANCE:
-        return _RapidTargets(rng, config, distractors=3)
+        return _RapidTargets(rng, distractors=3)
     raise ValueError(f"unknown task {task!r}")
 
 
@@ -654,7 +641,7 @@ def generate_task(task: Task, config: TaskConfig, seed: int, participant_id: int
     _pursuit_rate. Deterministic for a given seed.
     """
     rng = np.random.default_rng([int(seed), TASK_ORDER.index(task)])
-    stepper = _make_stepper(task, rng, config)
+    stepper = _make_stepper(task, rng)
     dt = 1.0 / config.rate_hz
     n = round(config.duration * config.rate_hz)
     times = np.arange(n) * dt
@@ -698,11 +685,9 @@ def generate_task(task: Task, config: TaskConfig, seed: int, participant_id: int
 
 def subject_config(participant_id, config: TaskConfig, seed) -> TaskConfig:
     """Per-participant pursuit parameters: gain, deadzone, and sharpness
-    drawn uniformly within +/- subject_spread of the population values."""
-    if config.subject_spread == 0:
-        return config
+    drawn uniformly within +/- SUBJECT_SPREAD of the population values."""
     rng = np.random.default_rng([int(seed), int(participant_id), 7_031])
-    jitter = 1.0 + config.subject_spread * rng.uniform(-1.0, 1.0, size=3)
+    jitter = 1.0 + SUBJECT_SPREAD * rng.uniform(-1.0, 1.0, size=3)
     return replace(
         config,
         head_lag_gain=config.head_lag_gain * jitter[0],

@@ -15,6 +15,10 @@ from dataclasses import dataclass
 
 from .geometry import pitch_yaw_to_dir
 
+TICK_RATE_HZ = 50.0  # control loop
+SENSOR_RATE_HZ = 200.0  # gaze stream
+SAMPLES_PER_TICK = round(SENSOR_RATE_HZ / TICK_RATE_HZ)
+
 
 @dataclass
 class ExoLimits:
@@ -22,7 +26,6 @@ class ExoLimits:
     extension_max: float = -3.0  # deg, backward pitch
     yaw_limit: float = 30.0  # deg, symmetric side-to-side
     max_speed: float = 1.0  # rad/s
-    per_axis_speed: bool = False  # cap each axis instead of the joint norm
 
     def __post_init__(self):
         if self.extension_max >= self.flexion_max:
@@ -37,7 +40,9 @@ class EmaFilter:
     The first sample seeds the state.
     """
 
-    def __init__(self, alpha=0.1):
+    alpha = 0.1  # the default smoothing factor
+
+    def __init__(self, alpha=alpha):
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
         self.alpha = float(alpha)
@@ -60,21 +65,14 @@ def clamp_with_slide(pitch, yaw, limits: ExoLimits):
 
 
 def limit_velocity(prev_pitch, prev_yaw, cmd_pitch, cmd_yaw, dt, limits: ExoLimits):
-    """Cap the angular step so the joint speed stays within max_speed.
-
-    The default caps the Euclidean norm of the (pitch, yaw) step measured
-    in radians, preserving its direction; per_axis_speed caps each axis
-    independently.
-    """
+    """Cap the angular step so the joint speed stays within max_speed: the
+    Euclidean norm of the (pitch, yaw) step measured in radians is capped,
+    preserving its direction."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     dp = cmd_pitch - prev_pitch
     dy = cmd_yaw - prev_yaw
     cap_deg = math.degrees(limits.max_speed * dt)
-    if limits.per_axis_speed:
-        dp = min(max(dp, -cap_deg), cap_deg)
-        dy = min(max(dy, -cap_deg), cap_deg)
-        return prev_pitch + dp, prev_yaw + dy
     step = math.hypot(dp, dy)
     if step > cap_deg:
         ratio = cap_deg / step
@@ -97,19 +95,19 @@ class ExoState:
 
 
 class ExoSim:
-    """50 Hz control loop over a 200 Hz gaze-angle stream.
+    """TICK_RATE_HZ control loop over a SENSOR_RATE_HZ gaze-angle stream.
 
-    Each tick consumes ``samples_per_tick`` raw (pitch, yaw) gaze angles,
+    Each tick consumes SAMPLES_PER_TICK raw (pitch, yaw) gaze angles,
     EMA-filters them per axis, runs the controller once on the latest
     filtered value (zero-order hold), and applies velocity limiting then
     boundary clamping.
     """
 
-    def __init__(self, controller, limits=None, tick_rate_hz=50.0, sensor_rate_hz=200.0, alpha=0.1):
+    tick_dt = 1.0 / TICK_RATE_HZ
+
+    def __init__(self, controller, limits=None, alpha=EmaFilter.alpha):
         self.controller = controller
         self.limits = limits or ExoLimits()
-        self.tick_dt = 1.0 / tick_rate_hz
-        self.samples_per_tick = round(sensor_rate_hz / tick_rate_hz)
         self.pitch_filter = EmaFilter(alpha)
         self.yaw_filter = EmaFilter(alpha)
         self.state = ExoState()
@@ -145,9 +143,13 @@ class ExoSim:
 
     def run(self, gaze_stream):
         """Consume a (N, 2) gaze-angle stream; returns one pose log row
-        (t, pitch, yaw, pitch_saturated, yaw_saturated) per tick."""
+        (t, pitch, yaw, pitch_saturated, yaw_saturated) per tick. A stream
+        shorter than one tick is an error."""
+        chunk = SAMPLES_PER_TICK
+        if len(gaze_stream) < chunk:
+            raise ValueError(f"gaze stream of {len(gaze_stream)} samples is shorter than one tick "
+                             f"({chunk} samples)")
         log = []
-        chunk = self.samples_per_tick
         for start in range(0, len(gaze_stream) - chunk + 1, chunk):
             state = self.tick(gaze_stream[start : start + chunk])
             log.append(

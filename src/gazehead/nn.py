@@ -259,14 +259,14 @@ class LstmNet:
         return loss, {"w": dw, "b": db, "w_out": dw_out, "b_out": db_out}
 
 
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8  # Adam's moment decay rates and denominator guard
+
+
 @dataclass
 class AdamState:
     """Per-parameter first/second moment accumulators and step counter."""
 
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step_count: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -280,19 +280,19 @@ def adam_step(params, grads, state: AdamState):
     """
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     out = {}
     for k, p in params.items():
         g = np.asarray(grads[k], dtype=float)
         if k not in state.m:
             state.m[k] = np.zeros_like(g)
             state.v[k] = np.zeros_like(g)
-        state.m[k] = state.beta1 * state.m[k] + (1.0 - state.beta1) * g
-        state.v[k] = state.beta2 * state.v[k] + (1.0 - state.beta2) * (g * g)
+        state.m[k] = BETA1 * state.m[k] + (1.0 - BETA1) * g
+        state.v[k] = BETA2 * state.v[k] + (1.0 - BETA2) * (g * g)
         m_hat = state.m[k] / bc1
         v_hat = state.v[k] / bc2
-        out[k] = p - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        out[k] = p - state.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
     return out, state
 
 

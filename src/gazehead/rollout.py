@@ -271,8 +271,8 @@ class EvalTable:
     """
 
     rows: list = field(default_factory=list)
-    noise_sigma_deg: float = 0.5
-    seed: int = 0
+    noise_sigma_deg: float = RolloutConfig.noise_sigma_deg
+    seed: int = RolloutConfig.seed
 
     def aggregate(self):
         cells = {}

@@ -182,7 +182,7 @@ def _fit_net(config: TrainConfig, trajs, build_net, prep):
     return net, report_losses, lengths
 
 
-def fit_vector_axis(x_deg, target_rad, dt, iterations=3000, learning_rate=0.05):
+def fit_vector_axis(x_deg, target_rad, dt, iterations, learning_rate):
     """Fit one (v, a, b, c) quadruple by full-batch Adam on the symmetric
     law. ``a`` is optimized as exp(alpha) so it stays positive.
 
@@ -236,7 +236,7 @@ def fit_vector_axis(x_deg, target_rad, dt, iterations=3000, learning_rate=0.05):
     )
 
 
-def fit_vector_params(trajs, iterations=3000, learning_rate=0.05) -> VectorParams:
+def fit_vector_params(trajs, iterations, learning_rate) -> VectorParams:
     """Fit independent pitch/yaw quadruples on pooled trajectory data."""
     xs = []
     ds = []

@@ -8,9 +8,10 @@ sample) that the package's faster rollout must match bit for bit. The
 blink-repair oracle is the per-sample loop that the package's columnar
 repair must match bit for bit, and the teacher-forced LSTM oracle is the
 per-trajectory step loop that the lockstep prediction must match bit for
-bit. ZeroController, a baseline that never moves the head, and
-make_trajectory, a builder of small test trajectories, live here because
-only tests use them.
+bit. ZeroController, a baseline that never moves the head,
+ReplayController, which replays recorded head deltas, and make_trajectory,
+a builder of small test trajectories, live here because only tests use
+them.
 """
 
 import math
@@ -33,6 +34,27 @@ class ZeroController(Controller):
 
     def predict(self, xs, dts):
         return [np.zeros((x.shape[0], 2)) for x in xs]
+
+
+class ReplayController(Controller):
+    """Replays a precomputed (dpitch, dyaw) sequence in radians, one row
+    per step, ignoring gaze; stepping past its end is an IndexError."""
+
+    family = "replay"
+
+    def __init__(self, deltas):
+        super().__init__("replay")
+        self.deltas = deltas
+        self.i = 0
+
+    def reset_rows(self, rows):
+        super().reset_rows(rows)
+        self.i = 0
+
+    def step(self, left_dir, right_dir, head_dir, dt):
+        d = self.deltas[self.i]
+        self.i += 1
+        return float(d[0]), float(d[1])
 
 
 def lstm_predict_loop(controller, xs, dts):

@@ -13,7 +13,7 @@ import pytest
 
 import gazehead
 from gazehead.cli import _load_dir, main
-from gazehead.controllers import load_controller
+from gazehead.controllers import QuadrantController, load_controller, save_controller
 from gazehead.rollout import RolloutConfig, evaluate_suite
 
 
@@ -244,6 +244,55 @@ def test_exosim_reads_gaze_csv(pipeline, tmp_path):
         rows = list(csv.DictReader(f))
     assert len(rows) == 100
     assert float(rows[-1][ "yaw_deg"]) > 0
+
+
+@pytest.fixture
+def quadrant_config(tmp_path):
+    path = tmp_path / "quadrant.json"
+    save_controller(QuadrantController(), path)
+    return path
+
+
+@pytest.mark.parametrize(
+    "rows, line, reason",
+    [
+        ([["t", "pitch_deg", "yaw_deg"]] + [[i / 200.0, "nan", "nan"] for i in range(40)], 2,
+         "pitch and yaw must be finite, got nan, nan"),
+        ([[i / 200.0, 1.0, 2.0] for i in range(8)] + [[0.04, 1.0, "inf"]], 9,
+         "pitch and yaw must be finite, got 1.0, inf"),
+        ([[i / 200.0, 1.0, 2.0] for i in range(5)] + [[0.025, "abc", 2.0]], 6,
+         "could not convert string to float: 'abc'"),
+        ([[i / 200.0, 1.0, 2.0] for i in range(3)] + [["0.015"]], 4,
+         "fewer than two fields (pitch_deg, yaw_deg)"),
+    ],
+    ids=["nan", "inf", "abc", "one-field"],
+)
+def test_exosim_rejects_a_bad_gaze_row(quadrant_config, tmp_path, capsys, rows, line, reason):
+    gaze = tmp_path / "gaze.csv"
+    with open(gaze, "w", newline="") as f:
+        csv.writer(f).writerows(rows)
+    out = tmp_path / "pose.csv"
+    assert run_cli("exosim", "--controller", quadrant_config, "--gaze", gaze, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: {gaze}: line {line}: {reason}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["ticks-0", "ticks-negative", "csv"])
+def test_exosim_rejects_a_stream_shorter_than_one_tick(quadrant_config, tmp_path, capsys, source):
+    if source.startswith("ticks"):
+        stream = ["--ticks", "0" if source == "ticks-0" else "-3"]
+        samples = 0
+    else:
+        gaze = tmp_path / "gaze.csv"
+        gaze.write_text("t,pitch_deg,yaw_deg\n0.0,1.0,2.0\n0.005,1.0,2.0\n0.01,1.0,2.0\n")
+        stream = ["--gaze", gaze]
+        samples = 3
+    out = tmp_path / "pose.csv"
+    assert run_cli("exosim", "--controller", quadrant_config, *stream, "--out", out) == 1
+    assert capsys.readouterr().err == (
+        f"error: gaze stream of {samples} samples is shorter than one tick (4 samples)\n"
+    )
+    assert not out.exists()
 
 
 def test_report_survives_corrupt_input(pipeline, tmp_path):

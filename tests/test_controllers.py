@@ -372,6 +372,26 @@ def test_load_controller_rejects_a_network_or_rate_its_family_cannot_run(
     assert str(info.value) == f"{path} (checkpoint {ckpt}): {reason}"
 
 
+@pytest.mark.parametrize(
+    "damage, reason",
+    [
+        (lambda params: params.update(w0=params["w0"][:5]),
+         "cannot reshape array of size 5 into shape (8,9)"),
+        (lambda params: params.pop("w0"), "missing key 'w0'"),
+    ],
+    ids=["w0-cut-to-5", "w0-deleted"],
+)
+def test_load_controller_names_the_files_of_a_malformed_checkpoint(tmp_path, damage, reason):
+    path = write_net_config(tmp_path, "mlp", DenseNet([9, 8, 2]))
+    ckpt = tmp_path / "net.ckpt.json"
+    payload = json.loads(ckpt.read_text(encoding="utf-8"))
+    damage(payload["params"])
+    ckpt.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_controller(path)
+    assert str(info.value) == f"{path} (checkpoint {ckpt}): {reason}"
+
+
 GOLDEN_QUADRANT = """{
   "family": "quadrant",
   "name": "quadrant",

@@ -7,6 +7,7 @@ import pytest
 
 from gazehead.dataset import (
     COLUMNS,
+    FIXATION_TIME,
     TASK_ORDER,
     SplitSpec,
     Task,
@@ -264,7 +265,7 @@ def test_rapid_search_fixation_interval():
     jumps = np.linalg.norm(np.diff(track.pos, axis=0), axis=1)
     switch_frames = np.nonzero(jumps > 0.5)[0]
     assert len(switch_frames) > 3
-    min_frames = round(config.fixation_time * config.rate_hz)
+    min_frames = round(FIXATION_TIME * config.rate_hz)
     assert np.all(np.diff(switch_frames) >= min_frames)
 
 

@@ -155,13 +155,6 @@ def test_exosim_determinism():
     assert log1 == log2
 
 
-def test_per_axis_speed_mode():
-    limits = ExoLimits(per_axis_speed=True)
-    p, y = limit_velocity(0.0, 0.0, 5.0, 5.0, 0.02, limits)
-    cap_deg = math.degrees(0.02)
-    assert abs(p - cap_deg) < 1e-12 and abs(y - cap_deg) < 1e-12
-
-
 def test_limits_validation():
     with pytest.raises(ValueError):
         ExoLimits(flexion_max=-5.0, extension_max=0.0)

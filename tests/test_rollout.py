@@ -29,29 +29,16 @@ from gazehead.rollout import (
 )
 from gazehead.nn import DenseNet, LstmNet
 from gazehead.training import TrainConfig, fit, head_deltas
-from oracles import ZeroController, focal_point_scalar, focal_points_loop, make_trajectory, rollout_loop
+from oracles import (
+    ReplayController,
+    ZeroController,
+    focal_point_scalar,
+    focal_points_loop,
+    make_trajectory,
+    rollout_loop,
+)
 
 QUIET = RolloutConfig(noise_sigma_deg=0.0, seed=1)
-
-
-class ReplayController(Controller):
-    """Feeds back a precomputed command sequence, ignoring gaze."""
-
-    family = "replay"
-
-    def __init__(self, deltas):
-        super().__init__("replay")
-        self.deltas = deltas
-        self.i = 0
-
-    def reset_rows(self, rows):
-        super().reset_rows(rows)
-        self.i = 0
-
-    def step(self, left_dir, right_dir, head_dir, dt):
-        d = self.deltas[self.i]
-        self.i += 1
-        return float(d[0]), float(d[1])
 
 
 class FaultyController(Controller):

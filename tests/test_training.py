@@ -38,26 +38,6 @@ def constant_delta_traj(dpitch, dyaw, n=50, rate=90.0):
     return make_trajectory(np.arange(n) / rate, d, head_dir=d, rate_hz=rate)
 
 
-class ReplayController(Controller):
-    """Emits a precomputed delta sequence, ignoring gaze."""
-
-    family = "replay"
-
-    def __init__(self, deltas):
-        super().__init__("replay")
-        self.deltas = deltas
-        self.i = 0
-
-    def reset_rows(self, rows):
-        super().reset_rows(rows)
-        self.i = 0
-
-    def step(self, left_dir, right_dir, head_dir, dt):
-        d = self.deltas[min(self.i, len(self.deltas) - 1)]
-        self.i += 1
-        return float(d[0]), float(d[1])
-
-
 def test_perfect_model_scores_zero():
     _, traj = generate_task(Task.LINEAR_PURSUIT, TaskConfig(duration=2.0), seed=0)
     deltas = head_deltas(traj)
@@ -209,7 +189,7 @@ def test_fit_vector_flat_on_zero_deltas():
     rng = np.random.default_rng(103)
     x = rng.uniform(-30, 30, size=1000)
     d = np.zeros_like(x)
-    fitted = fit_vector_axis(x, d, 1 / 90, iterations=1500)
+    fitted = fit_vector_axis(x, d, 1 / 90, iterations=1500, learning_rate=0.05)
     grid = np.linspace(-40, 40, 200)
     h = np.array([symmetric_control_law(fitted, g) for g in grid])
     assert np.max(np.abs(h)) < 1e-3
@@ -299,7 +279,7 @@ def test_fit_rejects_mixed_sample_rates():
         with pytest.raises(ValueError, match=r"60, 90 Hz"):
             fit(TrainConfig(family=family, epochs=1, vector_iterations=1), [fast, slow])
     with pytest.raises(ValueError, match=r"60, 90 Hz"):
-        fit_vector_params([fast, slow], iterations=1)
+        fit_vector_params([fast, slow], iterations=1, learning_rate=0.05)
 
 
 def test_controller_without_predict_is_a_type_error():
