@@ -355,6 +355,18 @@ GENERATOR_DIGESTS = {
         2,
         "a0fe94089a3abd46a316c235bb124b20489cd909bbf393897422412de6d93422",
     ),
+    # long enough for a rapid-avoidance distractor to reach the subject
+    # ((SPAWN_DISTANCE - REACH_RADIUS) / APPROACH_SPEED = 9.5 s) and respawn
+    "long-90hz": (
+        TaskConfig(duration=12.0),
+        1,
+        "eb80671b06460fe322f243ed799f834963f45c4cc88099ec09f7d419b1d1a041",
+    ),
+    "long-200hz": (
+        TaskConfig(duration=12.0, rate_hz=200.0),
+        1,
+        "5e799f87e0f1b4c63f258ddb67f44f302ecd68d253decf89b87b8ab0a0183c0f",
+    ),
 }
 
 
@@ -372,6 +384,17 @@ def generator_digest(config, trials_per_task, seed=1000):
 def test_generator_bits_are_pinned(name):
     config, trials_per_task, expected = GENERATOR_DIGESTS[name]
     assert generator_digest(config, trials_per_task) == expected
+
+
+def test_standard_normal_pair_has_the_bits_of_two_normal_calls():
+    # the generator draws each frame's two motor-noise values as one
+    # standard_normal(2) between the target stepper's own draws
+    for seed in range(20):
+        pairs, singles = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(200):
+            a = pairs.standard_normal(2).tolist() + [pairs.uniform()]
+            b = [singles.normal(), singles.normal(), singles.uniform()]
+            assert np.array(a).tobytes() == np.array(b).tobytes()
 
 
 HEADER = '{"participant": 0, "task": "linear-pursuit", "rate_hz": 90.0}'
