@@ -34,7 +34,7 @@ import numpy as np
 from .geometry import (
     EYE_OFFSET,
     dir_to_pitch_yaw,
-    head_rotation,
+    head_rotation_entries,
     norm,
     normalize,
     normalize_rows,
@@ -422,6 +422,7 @@ SPAWN_DISTANCE = 10.0  # m, rapid-task spawn radius
 APPROACH_SPEED = 1.0  # m/s, rapid-task cubes toward the subject
 REACH_RADIUS = 0.5  # m; also the cube edge length
 FIXATION_TIME = 0.3  # s of fixation before a respawn
+_GAZED_CUBES = 3  # rapid tasks: the cubes the subject looks at in turn
 # fractional spread of the pursuit parameters across participants; each
 # synthetic subject draws its own gain/deadzone/sharpness
 SUBJECT_SPREAD = 0.15
@@ -504,9 +505,10 @@ class _LinearTargets:
     def advance(self, dt):
         remaining = LINEAR_SPEED * dt
         while True:
-            gap = norm(self.waypoint - self.pos)
+            delta = self.waypoint - self.pos
+            gap = norm(delta)
             if gap > remaining:
-                self.pos = self.pos + (self.waypoint - self.pos) * (remaining / gap)
+                self.pos = self.pos + delta * (remaining / gap)
                 return self.pos
             self.pos = self.waypoint
             remaining -= gap
@@ -514,7 +516,8 @@ class _LinearTargets:
 
 
 class _ArcTargets:
-    """Circular-arc motion at constant angular speed about random centers."""
+    """Circular-arc motion at constant angular speed about random centers;
+    a position on an arc is a tuple of floats."""
 
     def __init__(self, rng):
         self.rng = rng
@@ -540,17 +543,18 @@ class _ArcTargets:
             )
             if not _path_ok(pts):
                 continue
-            self.center = center
+            self.center = center.tolist()
             self.radius = radius
-            self.u = u
-            self.w = w
+            self.u = u.tolist()
+            self.w = w.tolist()
             self.theta = 0.0
             self.sweep = sweep
             return
         raise RuntimeError("could not place a pursuit arc")
 
     def _at(self, theta):
-        return self.center + self.radius * (math.cos(theta) * self.u + math.sin(theta) * self.w)
+        c, s, r = math.cos(theta), math.sin(theta), self.radius
+        return tuple(p + r * (c * a + s * b) for p, a, b in zip(self.center, self.u, self.w))
 
     def advance(self, dt):
         remaining = ARC_ANGULAR_SPEED * dt
@@ -568,12 +572,13 @@ class _ArcTargets:
 class _RapidTargets:
     """Three cubes approaching the subject; the gazed cube respawns after
     sustained fixation or on reaching the subject. The avoidance variant
-    adds distractor cubes that are never gazed at."""
+    adds distractor cubes that are never gazed at. The cubes, then the
+    distractors, are the rows of one array; each frame's is a new array,
+    so a row handed out as a target is never written again."""
 
     def __init__(self, rng, distractors=0):
         self.rng = rng
-        self.cubes = [self._spawn() for _ in range(3)]
-        self.distractors = [self._spawn() for _ in range(distractors)]
+        self.cubes = np.array([self._spawn() for _ in range(_GAZED_CUBES + distractors)])
         self.active = 0
         self.fixation = 0.0
         self.pos = self.cubes[0]
@@ -581,34 +586,26 @@ class _RapidTargets:
     def _spawn(self):
         return _sample_cone_point(self.rng, SPAWN_CONE, SPAWN_DISTANCE)
 
-    def _approach(self, p, dt):
-        dist = norm(p)
-        step = APPROACH_SPEED * dt
-        if dist - step <= REACH_RADIUS:
-            return None  # reached the subject
-        return p * ((dist - step) / dist)
-
     def advance(self, dt):
-        for i, cube in enumerate(self.cubes):
-            moved = self._approach(cube, dt)
-            if moved is None:
-                self.cubes[i] = self._spawn()
+        dist = norms(self.cubes)
+        left = dist - APPROACH_SPEED * dt
+        cubes = self.cubes = self.cubes * (left / dist)[:, None]
+        # rows that reach the subject respawn in row order, which is the
+        # order of their draws
+        for i, distance in enumerate(left.tolist()):
+            if distance <= REACH_RADIUS:
+                cubes[i] = self._spawn()
                 if i == self.active:
                     self._switch()
-            else:
-                self.cubes[i] = moved
-        for i, cube in enumerate(self.distractors):
-            moved = self._approach(cube, dt)
-            self.distractors[i] = self._spawn() if moved is None else moved
         self.fixation += dt
         if self.fixation >= FIXATION_TIME:
-            self.cubes[self.active] = self._spawn()
+            cubes[self.active] = self._spawn()
             self._switch()
-        self.pos = self.cubes[self.active]
+        self.pos = cubes[self.active]
         return self.pos
 
     def _switch(self):
-        self.active = (self.active + 1) % len(self.cubes)
+        self.active = (self.active + 1) % _GAZED_CUBES
         self.fixation = 0.0
 
 
@@ -647,26 +644,29 @@ def generate_task(task: Task, config: TaskConfig, seed: int, participant_id: int
     times = np.arange(n) * dt
     # the target track never depends on the head, so it and the two motor
     # noise draws of each frame come first, in the frame loop's rng order
-    positions = np.empty((n, 3))
-    draws = np.empty((n, 2))
+    # (one standard_normal(2) has the bits of two normal() calls)
+    positions, draws = [], []
     target = stepper.pos
-    for i in range(n):
-        positions[i] = target
-        draws[i] = rng.normal(), rng.normal()
+    for _ in range(n):
+        positions.append(target)
+        draws.append(rng.standard_normal(2))
         target = stepper.advance(dt)
+    positions = np.array(positions).reshape(n, 3)
     head_pos = np.zeros((n, 3))
     # the head pursues the gaze offset for the next frame, with a smooth
     # motor-noise wander on top of the pursuit velocity; pitch and yaw feed
-    # back, so this runs frame by frame
+    # back, so this runs frame by frame, on floats but for the BLAS
+    # rot.T @ toward, whose bits a Python sum of products would not keep
     unit = normalize_rows(positions - head_pos)
     rots = np.empty((n, 3, 3))
     pitch, yaw = 0.0, 0.0
     rho = math.exp(-dt / config.motor_noise_tau)
     innovation = config.motor_noise_rms * math.sqrt(1.0 - rho * rho)
     noise_p, noise_y = 0.0, 0.0
-    for i, (toward, (draw_p, draw_y)) in enumerate(zip(unit, draws.tolist())):
-        rot = rots[i] = head_rotation(pitch, yaw)
-        off_pitch, off_yaw = dir_to_pitch_yaw(rot.T @ toward)
+    frames = zip(rots, rots.reshape(n, 9), unit, np.array(draws).reshape(n, 2).tolist())
+    for rot, entries, toward, (draw_p, draw_y) in frames:
+        entries[:] = head_rotation_entries(pitch, yaw)
+        off_pitch, off_yaw = dir_to_pitch_yaw((rot.T @ toward).tolist())
         noise_p = rho * noise_p + innovation * draw_p
         noise_y = rho * noise_y + innovation * draw_y
         pitch += math.radians(_pursuit_rate(math.degrees(off_pitch), config) + noise_p) * dt

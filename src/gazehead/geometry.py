@@ -169,17 +169,16 @@ def pitch_yaw_to_dir(pitch: float, yaw: float) -> Vec3:
     return vec3(cp * math.sin(yaw), math.sin(pitch), cp * math.cos(yaw))
 
 
-def head_rotation(pitch: float, yaw: float) -> np.ndarray:
-    """World-from-head rotation matrix for a roll-free head pose."""
+def head_rotation_entries(pitch: float, yaw: float) -> tuple[float, ...]:
+    """The nine entries of head_rotation(pitch, yaw), row by row."""
     sp, cp = math.sin(pitch), math.cos(pitch)
     sy, cy = math.sin(yaw), math.cos(yaw)
-    return np.array(
-        [
-            [cy, -sy * sp, sy * cp],
-            [0.0, cp, sp],
-            [-sy, -cy * sp, cy * cp],
-        ]
-    )
+    return cy, -sy * sp, sy * cp, 0.0, cp, sp, -sy, -cy * sp, cy * cp
+
+
+def head_rotation(pitch: float, yaw: float) -> np.ndarray:
+    """World-from-head rotation matrix for a roll-free head pose."""
+    return np.array(head_rotation_entries(pitch, yaw)).reshape(3, 3)
 
 
 @dataclass
