@@ -10,7 +10,9 @@ trees byte for byte:
 
 - ``generate`` 6 participants, all tasks, 6 s trials;
 - ``generate`` a second shape, 3 participants with 2 trials per task at
-  45 Hz and 3 s (compared only, never trained on);
+  45 Hz and 3 s, and a third, 1 participant with 3 trials per task at
+  200 Hz and 12 s, long enough for a rapid-avoidance distractor to reach
+  the subject and respawn (both compared only, never trained on);
 - ``train`` vector, mlp 8, lstm H2, lstm H3 with 6 inputs and quadrant,
   each with a report and a checkpoint, and a wide lstm H64 (small and
   wide recurrent matrix products can round differently, so each size
@@ -58,7 +60,9 @@ def pipeline():
     steps = [["generate", "--task", "all", "--participants", "6", "--seed", "1",
               "--duration", "6", "--out", "data"],
              ["generate", "--task", "all", "--participants", "3", "--trials-per-task", "2",
-              "--rate", "45", "--duration", "3", "--seed", "2", "--out", "data45"]]
+              "--rate", "45", "--duration", "3", "--seed", "2", "--out", "data45"],
+             ["generate", "--task", "all", "--participants", "1", "--duration", "12",
+              "--rate", "200", "--out", "data200"]]
     for name in TRAINED:
         steps.append(["train", *TRAIN[name], "--data", "data", "--seed", "0", "--name", name,
                       "--out", f"{name}.json", "--report", f"{name}.report.json"])
