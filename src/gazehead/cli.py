@@ -81,7 +81,11 @@ def _split_ids(args, trajs):
     ids = sorted({t.participant_id for t in trajs})
     if args.split:
         with open(args.split, encoding="utf-8") as f:
-            return ds.SplitSpec.from_json(json.load(f))
+            try:
+                return ds.SplitSpec.from_json(json.load(f))
+            except ValueError as exc:
+                reason = f"invalid JSON ({exc})" if isinstance(exc, json.JSONDecodeError) else exc
+                raise ValueError(f"{args.split}: {reason}") from exc
     if args.train_ids or args.test_ids:
         train = [int(i) for i in args.train_ids.split(",")] if args.train_ids else []
         test = [int(i) for i in args.test_ids.split(",")] if args.test_ids else []
@@ -242,6 +246,9 @@ def cmd_exosim(args):
         for t, pitch, yaw, psat, ysat in pose_log:
             writer.writerow([repr(t), repr(pitch), repr(yaw), int(psat), int(ysat)])
     log(f"exosim: {len(pose_log)} ticks, final pose=({pose_log[-1][1]:.2f}, {pose_log[-1][2]:.2f}) deg")
+    if sim.dropped_samples:
+        log(f"exosim: dropped the last {sim.dropped_samples} gaze samples, short of a whole tick "
+            f"({SAMPLES_PER_TICK} samples)")
     return 0
 
 

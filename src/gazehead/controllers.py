@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -397,35 +397,67 @@ def save_controller(controller: Controller, path, extra_config=None):
         f.write("\n")
 
 
+def _law_params(cls, values, where):
+    """A law's parameter dataclass from a decoded JSON object of numbers; a
+    field that is missing, unknown or not a number raises ValueError
+    naming it."""
+    if values is None:
+        raise ValueError(f"missing field {where}")
+    if not isinstance(values, dict):
+        raise ValueError(f"field {where} is not an object")
+    names = [f.name for f in fields(cls)]
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in values:
+            raise ValueError(f"missing field {where}.{f.name}")
+    for key, value in values.items():
+        if key not in names:
+            raise ValueError(f"unknown field {where}.{key}")
+        if type(value) not in (int, float):
+            raise ValueError(f"field {where}.{key} is not a number")
+    return cls(**values)
+
+
 def load_controller(path) -> Controller:
-    """Build a controller from its config JSON. A malformed checkpoint, or
-    a network or tick rate its family cannot run, raises ValueError naming
-    the config and checkpoint files."""
+    """Build a controller from its config JSON. A config that is not JSON
+    or has a field missing or of the wrong type, a malformed checkpoint,
+    or a network or tick rate its family cannot run raises ValueError
+    naming the config file (and the checkpoint file) and the reason."""
     path = os.fspath(path)
-    with open(path, encoding="utf-8") as f:
-        config = json.load(f)
-    family = config["family"]
-    name = config.get("name")
-    params = config.get("params", {})
-    if family == "quadrant":
-        return QuadrantController(QuadrantParams(**params), name=name)
-    if family == "vector":
-        vp = VectorParams(
-            pitch=VectorAxisParams(**params["pitch"]),
-            yaw=VectorAxisParams(**params["yaw"]),
-            symmetric=params.get("symmetric", True),
-        )
-        return VectorController(vp, name=name)
-    if family in ("mlp", "lstm"):
-        ckpt = params["checkpoint"]
-        if not os.path.isabs(ckpt):
-            ckpt = os.path.join(os.path.dirname(path), ckpt)
-        family_type = MlpController if family == "mlp" else LstmController
-        try:
-            net, _ = load_checkpoint(ckpt)
-            rate = config.get("tick_rate_hz", family_type.default_rate_hz)
-            return family_type(net, train_rate_hz=rate, name=name)
-        except (KeyError, TypeError, ValueError) as exc:
-            reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-            raise ValueError(f"{path} (checkpoint {ckpt}): {reason}") from exc
-    raise ValueError(f"unknown controller family {family!r}")
+    try:
+        with open(path, encoding="utf-8") as f:
+            config = json.load(f)
+        if not isinstance(config, dict):
+            raise ValueError("not a JSON object")
+        if "family" not in config:
+            raise ValueError("missing field family")
+        family, name = config["family"], config.get("name")
+        params = config.get("params", {})
+        if not isinstance(params, dict):
+            raise ValueError("field params is not an object")
+        if family == "quadrant":
+            return QuadrantController(_law_params(QuadrantParams, params, "params"), name=name)
+        if family == "vector":
+            symmetric = params.get("symmetric", True)
+            if type(symmetric) is not bool:
+                raise ValueError("field params.symmetric is not a bool")
+            pitch, yaw = (_law_params(VectorAxisParams, params.get(axis), f"params.{axis}")
+                          for axis in ("pitch", "yaw"))
+            return VectorController(VectorParams(pitch, yaw, symmetric), name=name)
+        if family not in ("mlp", "lstm"):
+            raise ValueError(f"unknown controller family {family!r}")
+        ckpt = params.get("checkpoint")
+        if type(ckpt) is not str:
+            raise ValueError("field params.checkpoint is not a file name")
+    except ValueError as exc:
+        reason = f"invalid JSON ({exc})" if isinstance(exc, json.JSONDecodeError) else exc
+        raise ValueError(f"{path}: {reason}") from exc
+    if not os.path.isabs(ckpt):
+        ckpt = os.path.join(os.path.dirname(path), ckpt)
+    family_type = MlpController if family == "mlp" else LstmController
+    try:
+        net, _ = load_checkpoint(ckpt)
+        rate = config.get("tick_rate_hz", family_type.default_rate_hz)
+        return family_type(net, train_rate_hz=rate, name=name)
+    except (KeyError, TypeError, ValueError) as exc:
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{path} (checkpoint {ckpt}): {reason}") from exc

@@ -136,7 +136,19 @@ class SplitSpec:
 
     @classmethod
     def from_json(cls, payload):
-        return cls(frozenset(payload["train"]), frozenset(payload["test"]))
+        """From decoded ``{"train": [...], "test": [...]}`` JSON; a field
+        that is missing or not a list of integer ids raises ValueError
+        naming it."""
+        if not isinstance(payload, dict):
+            raise ValueError("not a JSON object")
+        ids = []
+        for key in ("train", "test"):
+            if key not in payload:
+                raise ValueError(f"missing field {key}")
+            if not isinstance(payload[key], list) or any(type(i) is not int for i in payload[key]):
+                raise ValueError(f"field {key} is not a list of integer ids")
+            ids.append(frozenset(payload[key]))
+        return cls(*ids)
 
 
 class TrajectoryFormatError(ValueError):

@@ -111,6 +111,7 @@ class ExoSim:
         self.pitch_filter = EmaFilter(alpha)
         self.yaw_filter = EmaFilter(alpha)
         self.state = ExoState()
+        self.dropped_samples = 0
 
     def tick(self, gaze_samples):
         """Advance one control tick; gaze_samples is an iterable of
@@ -144,11 +145,14 @@ class ExoSim:
     def run(self, gaze_stream):
         """Consume a (N, 2) gaze-angle stream; returns one pose log row
         (t, pitch, yaw, pitch_saturated, yaw_saturated) per tick. A stream
-        shorter than one tick is an error."""
+        shorter than one tick is an error. The trailing samples that fall
+        short of a whole tick are not read; their count is left in
+        ``dropped_samples``."""
         chunk = SAMPLES_PER_TICK
         if len(gaze_stream) < chunk:
             raise ValueError(f"gaze stream of {len(gaze_stream)} samples is shorter than one tick "
                              f"({chunk} samples)")
+        self.dropped_samples = len(gaze_stream) % chunk
         log = []
         for start in range(0, len(gaze_stream) - chunk + 1, chunk):
             state = self.tick(gaze_stream[start : start + chunk])

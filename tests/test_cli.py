@@ -295,6 +295,65 @@ def test_exosim_rejects_a_stream_shorter_than_one_tick(quadrant_config, tmp_path
     assert not out.exists()
 
 
+def test_exosim_reports_the_samples_short_of_a_tick(quadrant_config, tmp_path, capsys):
+    logs = {}
+    for rows in (4, 5, 7):
+        gaze = tmp_path / f"gaze{rows}.csv"
+        gaze.write_text("t,pitch_deg,yaw_deg\n" + "".join(f"{i / 200.0},1.0,2.0\n" for i in range(rows)))
+        out = tmp_path / f"pose{rows}.csv"
+        assert run_cli("exosim", "--controller", quadrant_config, "--gaze", gaze, "--out", out) == 0
+        logs[rows] = out.read_bytes()
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("exosim: 1 ticks")
+        dropped = [f"exosim: dropped the last {rows - 4} gaze samples, short of a whole tick "
+                   "(4 samples)"]
+        assert err[1:] == (dropped if rows > 4 else [])
+    assert logs[5] == logs[4] == logs[7]
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ('{"family": "vector", "params": {"yaw": {"v": 1.0, "a": 0.5, "b": 6.0, "c": 0.0}}}',
+         "missing field params.pitch"),
+        ('{"name": "q", "params": {}}', "missing field family"),
+        ('{"family": "quadrant", "params": {"speed": "fast"}}', "field params.speed is not a number"),
+        ("quadrant", "invalid JSON (Expecting value: line 1 column 1 (char 0))"),
+        ('{"family": "vector", "params": {"symmetric": "no", '
+         '"pitch": {"v": 1.0, "a": 0.5, "b": 6.0, "c": 0.0}, '
+         '"yaw": {"v": 1.0, "a": 0.5, "b": 6.0, "c": 0.0}}}', "field params.symmetric is not a bool"),
+    ],
+    ids=["no-pitch", "no-family", "string-speed", "not-json", "string-symmetric"],
+)
+def test_a_malformed_controller_config_is_named_with_its_field(tmp_path, capsys, text, reason):
+    config = tmp_path / "controller.json"
+    config.write_text(text, encoding="utf-8")
+    out = tmp_path / "pose.csv"
+    assert run_cli("exosim", "--controller", config, "--ticks", "10", "--out", out) == 1
+    assert capsys.readouterr().err == f"error: {config}: {reason}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ('{"train": [0, 1]}', "missing field test"),
+        ('{"train": [0, 1], "test": 2}', "field test is not a list of integer ids"),
+    ],
+    ids=["no-test", "test-not-a-list"],
+)
+def test_a_malformed_split_file_is_named_with_its_field(tmp_path, capsys, text, reason):
+    data = tmp_path / "data"
+    run_cli("generate", "--task", "linear-pursuit", "--participants", "3", "--trials-per-task", "1",
+            "--duration", "0.5", "--out", data)
+    split = tmp_path / "split.json"
+    split.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("train", "--family", "quadrant", "--data", data, "--split", split,
+                   "--out", tmp_path / "q.json") == 1
+    assert capsys.readouterr().err == f"error: {split}: {reason}\n"
+
+
 def test_report_survives_corrupt_input(pipeline, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
