@@ -103,10 +103,13 @@ def test_cross_is_np_cross_bitwise(a, b):
     assert crosses(rows, others).tobytes() == np.cross(rows, others).tobytes()
 
 
-@given(vectors)
-def test_norm_is_np_linalg_norm_bitwise(v):
+@given(vectors, vectors)
+def test_norm_is_np_linalg_norm_bitwise(v, w):
     assert norm(v) == np.linalg.norm(v)
     assert norms(v[None, :])[0] == norm(v)
+    # six rows, as many as a rapid-avoidance trial's cubes and distractors
+    rows = np.stack([v, w, -v, w * 0.5, v, w])
+    assert norms(rows).tolist() == [norm(row) for row in rows]
 
 
 def test_interpolate_blink_constant():
