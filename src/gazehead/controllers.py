@@ -398,22 +398,21 @@ def save_controller(controller: Controller, path, extra_config=None):
 
 
 def _law_params(cls, values, where):
-    """A law's parameter dataclass from a decoded JSON object of numbers; a
-    field that is missing, unknown or not a number raises ValueError
-    naming it."""
+    """A law's parameter dataclass from a decoded JSON object of finite
+    numbers; a field that is missing, unknown or not a finite number
+    raises ValueError naming it."""
     if values is None:
         raise ValueError(f"missing field {where}")
     if not isinstance(values, dict):
         raise ValueError(f"field {where} is not an object")
-    names = [f.name for f in fields(cls)]
     for f in fields(cls):
         if f.default is MISSING and f.name not in values:
             raise ValueError(f"missing field {where}.{f.name}")
     for key, value in values.items():
-        if key not in names:
+        if key not in {f.name for f in fields(cls)}:
             raise ValueError(f"unknown field {where}.{key}")
-        if type(value) not in (int, float):
-            raise ValueError(f"field {where}.{key} is not a number")
+        if not (type(value) is int or type(value) is float and math.isfinite(value)):
+            raise ValueError(f"field {where}.{key} is not a finite number")
     return cls(**values)
 
 

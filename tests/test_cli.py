@@ -317,13 +317,15 @@ def test_exosim_reports_the_samples_short_of_a_tick(quadrant_config, tmp_path, c
         ('{"family": "vector", "params": {"yaw": {"v": 1.0, "a": 0.5, "b": 6.0, "c": 0.0}}}',
          "missing field params.pitch"),
         ('{"name": "q", "params": {}}', "missing field family"),
-        ('{"family": "quadrant", "params": {"speed": "fast"}}', "field params.speed is not a number"),
+        ('{"family": "quadrant", "params": {"speed": "fast"}}',
+         "field params.speed is not a finite number"),
+        ('{"family": "quadrant", "params": {"speed": NaN}}', "field params.speed is not a finite number"),
         ("quadrant", "invalid JSON (Expecting value: line 1 column 1 (char 0))"),
         ('{"family": "vector", "params": {"symmetric": "no", '
          '"pitch": {"v": 1.0, "a": 0.5, "b": 6.0, "c": 0.0}, '
          '"yaw": {"v": 1.0, "a": 0.5, "b": 6.0, "c": 0.0}}}', "field params.symmetric is not a bool"),
     ],
-    ids=["no-pitch", "no-family", "string-speed", "not-json", "string-symmetric"],
+    ids=["no-pitch", "no-family", "string-speed", "nan-speed", "not-json", "string-symmetric"],
 )
 def test_a_malformed_controller_config_is_named_with_its_field(tmp_path, capsys, text, reason):
     config = tmp_path / "controller.json"
