@@ -175,11 +175,18 @@ def cmd_evaluate(args):
             raise ValueError(f"duplicate controller name {controller.name!r}")
         controllers[controller.name] = controller
     trajs = _load_dir(args.data)
-    config = RolloutConfig(noise_sigma_deg=args.noise, seed=args.seed)
+    config = RolloutConfig(noise_sigma_deg=args.noise, seed=args.seed, duration_cap_s=args.duration_cap)
     table = evaluate_suite(controllers, trajs, config, jobs=args.jobs)
     _write_table(args.out, table)
     if args.csv:
         _write_rows_csv(args.csv, table.rows)
+    if args.steps_csv:
+        with open(args.steps_csv, "w", newline="", encoding="utf-8") as f:
+            writer = csv.writer(f)
+            writer.writerow(["controller", "task", "trajectory", "step", "squared_error"])
+            for row in table.rows:
+                for step, err in enumerate(row.step_errors):
+                    writer.writerow([row.controller, row.task, row.trajectory, step, repr(float(err))])
     for name, cells in table.aggregate().items():
         log(f"evaluate: {name} overall mse={cells['overall']['mse']:.4f}")
     return 0
@@ -345,8 +352,11 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise", type=float, default=RolloutConfig.noise_sigma_deg)
     p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--duration-cap", type=float, default=None,
+                   help="seconds of each trajectory to roll out (default: all)")
     p.add_argument("--out", required=True, help="table JSON path")
     p.add_argument("--csv", help="optional per-trajectory CSV")
+    p.add_argument("--steps-csv", help="optional per-step squared-error CSV, controller-major")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("exosim", help="run a controller through the robot control loop")
