@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: generate, train, rollout, evaluate, exosim, report. Every
+Subcommands: generate, train, evaluate, exosim, report. Every
 subcommand is reproducible: the same flags and seed produce byte-identical
 artifacts. All randomness derives from the global --seed combined with
 stable job identifiers (participant, task index, trial index), so the
@@ -87,8 +87,7 @@ def _split_ids(args, trajs):
                 reason = f"invalid JSON ({exc})" if isinstance(exc, json.JSONDecodeError) else exc
                 raise ValueError(f"{args.split}: {reason}") from exc
     if args.train_ids or args.test_ids:
-        train = [int(i) for i in args.train_ids.split(",")] if args.train_ids else []
-        test = [int(i) for i in args.test_ids.split(",")] if args.test_ids else []
+        train, test = args.train_ids, args.test_ids
         if not train:
             train = [i for i in ids if i not in set(test)]
         if not test:
@@ -146,25 +145,6 @@ def _write_table(path, table):
     with open(path, "w", encoding="utf-8") as f:
         json.dump(table.to_json(), f, indent=2)
         f.write("\n")
-
-
-def cmd_rollout(args):
-    """``evaluate`` for one controller, plus the optional per-step CSV."""
-    controller = load_controller(args.controller)
-    trajs = _load_dir(args.data)
-    config = RolloutConfig(noise_sigma_deg=args.noise, seed=args.seed, duration_cap_s=args.duration_cap)
-    table = evaluate_suite({controller.name: controller}, trajs, config)
-    _write_table(args.out, table)
-    if args.steps_csv:
-        with open(args.steps_csv, "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f)
-            writer.writerow(["controller", "task", "trajectory", "step", "squared_error"])
-            for row in table.rows:
-                for step, err in enumerate(row.step_errors):
-                    writer.writerow([row.controller, row.task, row.trajectory, step, repr(float(err))])
-    overall = table.aggregate()[controller.name]["overall"]["mse"]
-    log(f"rollout: {controller.name} over {len(trajs)} trajectories, overall mse={overall:.4f}")
-    return 0
 
 
 def cmd_evaluate(args):
@@ -289,9 +269,12 @@ def cmd_report(args):
     return 0
 
 
-def _sizes(text):
-    """Layer sizes from a comma-separated list."""
-    return tuple(int(h) for h in text.split(","))
+def _ints(text):
+    """A comma-separated list of integers: layer sizes or participant ids."""
+    try:
+        return tuple(int(i) for i in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}") from None
 
 
 def build_parser():
@@ -316,13 +299,13 @@ def build_parser():
 
     p = sub.add_parser("train", help="fit a controller on trajectory data")
     p.add_argument("--family", choices=["quadrant", "vector", "mlp", "lstm"], required=True)
-    p.add_argument("--hidden", type=_sizes, default=TrainConfig.hidden,
+    p.add_argument("--hidden", type=_ints, default=TrainConfig.hidden,
                    help="comma-separated hidden sizes (mlp) or H (lstm); default "
                         + ",".join(map(str, TrainConfig.hidden)))
     p.add_argument("--data", required=True)
     p.add_argument("--split", help="JSON file with train/test participant ids")
-    p.add_argument("--train-ids", default="", help="comma-separated participant ids")
-    p.add_argument("--test-ids", default="")
+    p.add_argument("--train-ids", type=_ints, default=(), help="comma-separated participant ids")
+    p.add_argument("--test-ids", type=_ints, default=())
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs,
                    help="always run in full (no early stopping)")
@@ -335,18 +318,7 @@ def build_parser():
     p.add_argument("--report", help="write the training report JSON here instead of stdout")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("rollout", help="closed-loop evaluation of one controller")
-    p.add_argument("--controller", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise", type=float, default=RolloutConfig.noise_sigma_deg,
-                   help="gaze noise sigma in degrees")
-    p.add_argument("--duration-cap", type=float, default=None)
-    p.add_argument("--out", required=True, help="result JSON path")
-    p.add_argument("--steps-csv", help="optional per-step squared-error CSV")
-    p.set_defaults(func=cmd_rollout)
-
-    p = sub.add_parser("evaluate", help="closed-loop MSE table for several controllers")
+    p = sub.add_parser("evaluate", help="closed-loop MSE table of one or more controllers")
     p.add_argument("--controllers", nargs="+", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--seed", type=int, default=0)

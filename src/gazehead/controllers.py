@@ -131,9 +131,9 @@ class Controller:
     radians. ``faulted`` latches when a non-finite command was replaced by
     (0, 0).
 
-    reset_rows() clears the latch and sets up independent rows; reset() is
-    ``reset_rows(1)``, and a stateful family's ``step`` advances row 0.
-    step_rows() steps K of those rows at once: (K, 9) inputs in the
+    reset_rows() clears the latch and sets up independent rows, and a
+    stateful family's ``step`` advances row 0. Each family's step_rows()
+    steps K of those rows at once: (K, 9) inputs in the
     ``training.net_inputs`` layout, (K,) tick durations and the (K,) row
     indices -> (K, 2) commands and the (K,) mask of rows whose command was
     replaced by (0, 0). Every row gets the bits ``step`` would give it.
@@ -154,6 +154,8 @@ class Controller:
         self.faulted = False
 
     def reset(self):
+        """``reset_rows(1)``; the package never calls it, the benchmark's
+        exosim workload does."""
         self.reset_rows(1)
 
     def reset_rows(self, rows):
@@ -162,19 +164,6 @@ class Controller:
 
     def step(self, left_dir, right_dir, head_dir, dt):
         raise NotImplementedError
-
-    def step_rows(self, x, dt, rows):
-        """``step`` on each row in turn: right for a controller that keeps
-        no per-row state, or when it steps one row."""
-        out = np.empty((len(x), 2))
-        faults = np.zeros(len(x), dtype=bool)
-        latched = self.faulted
-        for k, (row, row_dt) in enumerate(zip(x, dt.tolist())):
-            self.faulted = False
-            out[k] = self.step(row[0:3], row[3:6], row[6:9], row_dt)
-            faults[k] = self.faulted
-        self.faulted = latched or bool(faults.any())
-        return out, faults
 
     def predict(self, xs, dts):
         raise TypeError(f"{type(self).__name__} has no teacher-forced prediction")
@@ -307,7 +296,7 @@ class LstmController(_NetController):
     Its 6 or 9 inputs are the combined gaze or both gazes, then the head
     direction. ``hidden`` and ``cell`` hold the (rows, H) states that
     ``reset_rows`` sets up. ``step`` advances row 0, so it continues row 0
-    of a lockstep call unless ``reset()`` runs first. A row's state stops
+    of a lockstep call unless ``reset_rows(1)`` runs first. A row's state stops
     advancing once that row has faulted (``row_faulted``), and ``step``'s
     while ``faulted`` is set.
     """

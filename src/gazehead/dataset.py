@@ -459,6 +459,10 @@ class TaskConfig:
         for name in ("duration", "rate_hz"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        frames = round(self.duration * self.rate_hz)  # as generate_task counts them
+        if frames < 2:
+            raise ValueError(f"duration {self.duration:g} s at rate_hz {self.rate_hz:g} gives "
+                             f"{frames} frames; a trial needs at least 2")
 
 
 @dataclass

@@ -12,7 +12,8 @@ the virtual and recorded head direction vectors, so per-step error lies in
 
 ``lockstep`` advances every (controller, trajectory) row of a call together
 on (rows, ...) arrays, with the bits each row would get on its own;
-``rollout`` is its one-row call.
+``evaluate_suite`` turns its rows into the ``EvalRow``s of an ``EvalTable``,
+and ``rollout`` is that for one controller on one trajectory.
 """
 
 from __future__ import annotations
@@ -38,15 +39,6 @@ class RolloutConfig:
     def __post_init__(self):
         if self.noise_sigma_deg < 0:
             raise ValueError("noise sigma must be nonnegative")
-
-
-@dataclass
-class RolloutResult:
-    imputed: np.ndarray  # (T, 3) virtual head directions
-    step_errors: np.ndarray  # (T,)
-    mse: float
-    task: str
-    faulted: bool = False
 
 
 def precompute_focal_points(traj: Trajectory) -> np.ndarray:
@@ -148,12 +140,14 @@ def _padded(arrays, length):
     return out
 
 
-def lockstep(controllers, trajs, config: RolloutConfig) -> list[RolloutResult]:
+def lockstep(controllers, trajs, config: RolloutConfig):
     """Closed-loop rollouts of every controller over every trajectory, all
     advanced together one sample at a time; deterministic for a seed.
 
-    Row ``c * len(trajs) + j`` is controller c on trajectory j, and the
-    results come in that (controller-major) order. Each row gets the bits
+    Row ``c * len(trajs) + j`` is controller c on trajectory j. Returns
+    each row's (n_j,) per-step squared errors, in that (controller-major)
+    order, and the (rows,) mask of rows whose controller faulted; n_j is
+    trajectory j's length under the duration cap. Each row gets the bits
     of a rollout on its own: focal points, head data and the noise stream
     are per trajectory, every controller steps all of its due rows in one
     ``step_rows`` call, and each row's step is masked by its length and its
@@ -188,12 +182,10 @@ def lockstep(controllers, trajs, config: RolloutConfig) -> list[RolloutResult]:
     bounds = np.arange(len(controllers) + 1) * n_traj
     pos = np.zeros(len(traj_of), dtype=int)
     faulted = np.zeros(len(traj_of), dtype=bool)
-    imputed = np.empty((len(traj_of), t_max, 3))
     errors = np.empty((len(traj_of), t_max))
     for t in range(t_max):
         sp, cp, sy, cy = np.sin(pitch), np.cos(pitch), np.sin(yaw), np.cos(yaw)
         forward = np.stack([cp * sy, sp, cp * cy], axis=1)  # pitch_yaw_to_dir
-        imputed[:, t] = forward
         diff = forward - head_dir[traj_of, t]
         errors[:, t] = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
         due = np.flatnonzero((t < last) & (t % every == 0))
@@ -229,22 +221,7 @@ def lockstep(controllers, trajs, config: RolloutConfig) -> list[RolloutResult]:
         pitch = np.clip(pitch + command[:, 0], -PITCH_LIMIT, PITCH_LIMIT)
         yaw = yaw + command[:, 1]
 
-    results = []
-    for b, j in enumerate(traj_of.tolist()):
-        n = lengths[j]
-        results.append(RolloutResult(
-            imputed=imputed[b, :n],
-            step_errors=errors[b, :n],
-            mse=float(np.mean(errors[b, :n])),
-            task=trajs[j].task.value,
-            faulted=bool(faulted[b]),
-        ))
-    return results
-
-
-def rollout(controller: Controller, traj: Trajectory, config: RolloutConfig) -> RolloutResult:
-    """Closed-loop simulation of one trial: lockstep on one row."""
-    return lockstep([controller], [traj], config)[0]
+    return [errors[b, : lengths[j]] for b, j in enumerate(traj_of.tolist())], faulted
 
 
 @dataclass
@@ -298,15 +275,15 @@ def _evaluate_shard(job):
     """Rows of every controller over a run of trajectories, one list per
     controller; ``first`` is the index of the run's first trajectory."""
     controllers, trajs, config, first = job
-    results = lockstep(list(controllers.values()), trajs, config)
+    errors, faulted = lockstep(list(controllers.values()), trajs, config)
     rows = []
     for c, name in enumerate(controllers):
         rows.append([])
         for j, traj in enumerate(trajs):
-            result = results[c * len(trajs) + j]
+            b = c * len(trajs) + j
             label = f"p{traj.participant_id:03d}-{traj.task.value}-{first + j:02d}"
-            rows[c].append(EvalRow(name, result.task, label, result.mse, len(result.step_errors),
-                                   result.faulted, result.step_errors))
+            rows[c].append(EvalRow(name, traj.task.value, label, float(np.mean(errors[b])),
+                                   len(errors[b]), bool(faulted[b]), errors[b]))
     return rows
 
 
@@ -332,3 +309,8 @@ def evaluate_suite(controllers, trajs, config: RolloutConfig, jobs=1) -> EvalTab
         parts = [_evaluate_shard(shards[0])]
     rows = [row for c in range(len(controllers)) for part in parts for row in part[c]]
     return EvalTable(rows=rows, noise_sigma_deg=config.noise_sigma_deg, seed=config.seed)
+
+
+def rollout(controller: Controller, traj: Trajectory, config: RolloutConfig) -> EvalRow:
+    """Closed-loop simulation of one trial: ``evaluate_suite`` on one row."""
+    return evaluate_suite({controller.name: controller}, [traj], config).rows[0]

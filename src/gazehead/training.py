@@ -262,6 +262,12 @@ def fit(config: TrainConfig, train_trajs, test_trajs=()):
     if not train_trajs:
         raise ValueError("empty training set")
     rate = _common_rate(train_trajs)
+    step = config.lstm_downsample if config.family == "lstm" else 1
+    for traj in (*train_trajs, *test_trajs):
+        n = math.ceil(len(traj) / step)  # len(downsample(traj, step))
+        if n < 2:
+            raise ValueError(f"participant {traj.participant_id} {traj.task.value}: {n} samples at "
+                             f"{traj.rate_hz / step:g} Hz, fewer than the 2 a fit needs")
     t0 = time.perf_counter()
     name = config.resolved_name()
     report = TrainReport(config=asdict(config))

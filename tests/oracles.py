@@ -8,10 +8,10 @@ sample) that the package's faster rollout must match bit for bit. The
 blink-repair oracle is the per-sample loop that the package's columnar
 repair must match bit for bit, and the teacher-forced LSTM oracle is the
 per-trajectory step loop that the lockstep prediction must match bit for
-bit. ZeroController, a baseline that never moves the head,
-ReplayController, which replays recorded head deltas, and make_trajectory,
-a builder of small test trajectories, live here because only tests use
-them.
+bit. StepRowsMixin, the per-row ``step_rows`` of the test controllers,
+ZeroController, a baseline that never moves the head, ReplayController,
+which replays recorded head deltas, and make_trajectory, a builder of
+small test trajectories, live here because only tests use them.
 """
 
 import math
@@ -24,7 +24,23 @@ from gazehead.dataset import COLUMNS, TASK_ORDER, Task, Trajectory
 from gazehead.geometry import HeadOrientation, Vec3, norm, rotate_head
 
 
-class ZeroController(Controller):
+class StepRowsMixin:
+    """``step_rows`` as ``step`` on each row in turn: right for a test
+    controller that keeps no per-row state, or when it steps one row."""
+
+    def step_rows(self, x, dt, rows):
+        out = np.empty((len(x), 2))
+        faults = np.zeros(len(x), dtype=bool)
+        latched = self.faulted
+        for k, (row, row_dt) in enumerate(zip(x, dt.tolist())):
+            self.faulted = False
+            out[k] = self.step(row[0:3], row[3:6], row[6:9], row_dt)
+            faults[k] = self.faulted
+        self.faulted = latched or bool(faults.any())
+        return out, faults
+
+
+class ZeroController(StepRowsMixin, Controller):
     """Baseline that never moves the head."""
 
     family = "zero"
@@ -36,7 +52,7 @@ class ZeroController(Controller):
         return [np.zeros((x.shape[0], 2)) for x in xs]
 
 
-class ReplayController(Controller):
+class ReplayController(StepRowsMixin, Controller):
     """Replays a precomputed (dpitch, dyaw) sequence in radians, one row
     per step, ignoring gaze; stepping past its end is an IndexError."""
 
@@ -258,7 +274,7 @@ def rollout_loop(controller, traj, noise_sigma_deg, seed, every, n=None, eye_off
     sigma = math.radians(noise_sigma_deg)
     dt = 1.0 / traj.rate_hz
     n = len(traj) if n is None else n
-    controller.reset()
+    controller.reset_rows(1)
     head = HeadOrientation.from_forward(traj.head_dir[0])
     left_local = np.array([-eye_offset, 0.0, 0.0])
     right_local = np.array([eye_offset, 0.0, 0.0])

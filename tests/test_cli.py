@@ -1,5 +1,6 @@
 import csv
 import importlib
+import importlib.util
 import json
 import os
 import re
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import gazehead
-from gazehead.cli import _load_dir, main
+from gazehead.cli import _load_dir, build_parser, main
 from gazehead.controllers import QuadrantController, load_controller, save_controller
 from gazehead.rollout import RolloutConfig, evaluate_suite
 
@@ -63,6 +64,38 @@ def test_unknown_task_exits_2(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["generate", "--task", "nonsense", "--participants", "1", "--out", str(tmp_path)])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("duration, frames", [("0.001", 0), ("0.01", 1)])
+def test_generate_rejects_a_trial_shorter_than_two_frames(tmp_path, capsys, duration, frames):
+    out = tmp_path / "d"
+    assert run_cli("generate", "--participants", "1", "--duration", duration, "--out", out) == 1
+    assert capsys.readouterr().err == (
+        f"error: duration {duration} s at rate_hz 90 gives {frames} frames; a trial needs at least 2\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option, ids", [("--train-ids", "a"), ("--test-ids", "1,x")])
+def test_a_malformed_participant_id_list_exits_2_naming_the_option(tmp_path, capsys, option, ids):
+    with pytest.raises(SystemExit) as err:
+        main(["train", "--family", "quadrant", "--data", str(tmp_path), option, ids,
+              "--out", str(tmp_path / "q.json")])
+    assert err.value.code == 2
+    assert f"argument {option}: not a comma-separated list of integers: {ids!r}" in capsys.readouterr().err
+
+
+def test_every_parity_command_parses():
+    # a subcommand or option that tools/parity.py runs and the CLI lacks
+    # fails here, not at the next parity run
+    path = Path(__file__).resolve().parents[1] / "tools" / "parity.py"
+    spec = importlib.util.spec_from_file_location("parity", path)
+    parity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(parity)
+    argvs = parity.pipeline() + [parity.malformed_argv(name) for name in parity.MALFORMED]
+    parser = build_parser()
+    for argv in argvs:
+        parser.parse_args(argv)
 
 
 def test_missing_data_dir_runtime_error(tmp_path):
@@ -173,14 +206,33 @@ def test_evaluate_jobs_output_is_byte_identical_to_serial(pipeline, tmp_path):
     assert (tmp_path / "table.csv").read_bytes() == (pipeline / "table.csv").read_bytes()
 
 
-def test_rollout_steps_csv_repeats_byte_for_byte(pipeline, tmp_path):
+def test_evaluate_steps_csv_under_a_duration_cap_keeps_its_bytes_under_jobs(pipeline, tmp_path):
+    # --jobs only shards the trajectories: table, CSV and steps CSV keep
+    # every byte, and each row's steps run 0..n-1 and average to its mse
+    ctrls = [pipeline / "quadrant.json", pipeline / "lstm.json"]
     runs = []
-    for run in ("a", "b"):
-        assert run_cli("rollout", "--controller", pipeline / "lstm.json", "--data", pipeline / "data",
-                       "--seed", "11", "--duration-cap", "5", "--out", tmp_path / f"{run}.json",
-                       "--steps-csv", tmp_path / f"{run}.csv") == 0
-        runs.append([(tmp_path / f"{run}.{ext}").read_bytes() for ext in ("json", "csv")])
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        out.mkdir()
+        assert run_cli("evaluate", "--controllers", *ctrls, "--data", pipeline / "data", "--seed", "11",
+                       "--duration-cap", "5", "--jobs", jobs, "--out", out / "table.json",
+                       "--csv", out / "table.csv", "--steps-csv", out / "steps.csv") == 0
+        runs.append([(out / name).read_bytes() for name in ("table.json", "table.csv", "steps.csv")])
     assert runs[0] == runs[1]
+    table = json.loads(runs[0][0])
+    errors = {}
+    with open(tmp_path / "jobs1" / "steps.csv", newline="") as f:
+        for r in csv.DictReader(f):
+            key = (r["controller"], r["task"], r["trajectory"])
+            errors.setdefault(key, []).append((int(r["step"]), float(r["squared_error"])))
+    rows = table["trajectories"]
+    assert list(errors) == [(row["controller"], row["task"], row["trajectory"]) for row in rows]
+    assert len(rows) == 2 * 3
+    for row in rows:
+        steps = errors[(row["controller"], row["task"], row["trajectory"])]
+        assert row["steps"] == 5 * 90
+        assert [step for step, _ in steps] == list(range(row["steps"]))
+        assert float(np.mean([err for _, err in steps])) == row["mse"]
 
 
 @pytest.mark.parametrize("sigma", [0.5, 2.0])
@@ -197,27 +249,6 @@ def test_evaluate_step_errors_are_bounded_and_average_to_the_row_mse(pipeline, s
         assert np.all(np.isfinite(errors)) and errors.min() >= 0.0 and errors.max() <= 4.0
         assert len(errors) == row.steps
         assert float(np.mean(errors)) == row.mse
-
-
-def test_rollout_matches_evaluate(pipeline, tmp_path):
-    # rollout is evaluate for one controller, plus the per-step errors
-    common = ["--data", pipeline / "data", "--seed", "11"]
-    assert run_cli("rollout", "--controller", pipeline / "lstm.json", *common,
-                   "--out", tmp_path / "rollout.json", "--steps-csv", tmp_path / "steps.csv") == 0
-    assert run_cli("evaluate", "--controllers", pipeline / "lstm.json", *common,
-                   "--out", tmp_path / "evaluate.json") == 0
-    rolled = json.loads((tmp_path / "rollout.json").read_text())
-    assert rolled == json.loads((tmp_path / "evaluate.json").read_text())
-    errors = {}
-    with open(tmp_path / "steps.csv", newline="") as f:
-        for r in csv.DictReader(f):
-            key = (r["controller"], r["task"], r["trajectory"])
-            errors.setdefault(key, []).append((int(r["step"]), float(r["squared_error"])))
-    assert len(errors) == len(rolled["trajectories"]) == 3
-    for row in rolled["trajectories"]:
-        steps = errors[(row["controller"], row["task"], row["trajectory"])]
-        assert [step for step, _ in steps] == list(range(row["steps"]))
-        assert float(np.mean([err for _, err in steps])) == row["mse"]
 
 
 def test_exosim_cli_writes_pose_log(pipeline, tmp_path):
@@ -365,11 +396,12 @@ def test_report_survives_corrupt_input(pipeline, tmp_path):
     assert run_cli("report", "--results", bad, "--out", tmp_path / "rep2") == 1
 
 
-SUBCOMMANDS = ("generate", "train", "rollout", "evaluate", "exosim", "report")
+SUBCOMMANDS = ("generate", "train", "evaluate", "exosim", "report")
 
 
 def _assert_help_lists_subcommands(proc):
     assert proc.returncode == 0, proc.stderr
+    assert "{" + ",".join(SUBCOMMANDS) + "}" in proc.stdout
     for name in SUBCOMMANDS:
         assert re.search(rf"^\s+{name}\s+\S", proc.stdout, re.MULTILINE), name
 

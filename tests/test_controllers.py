@@ -203,13 +203,13 @@ def test_lstm_controller_delegates_and_is_stateful():
     assert abs(got[0] - expect[0]) < 1e-15 and abs(got[1] - expect[1]) < 1e-15
     assert np.array_equal(ctrl.hidden, hidden[None])
 
-    ctrl.reset()
+    ctrl.reset_rows(1)
     ab = [ctrl.step(a, a, head, 1 / 45), ctrl.step(b, b, head, 1 / 45)][-1]
-    ctrl.reset()
+    ctrl.reset_rows(1)
     ba = [ctrl.step(b, b, head, 1 / 45), ctrl.step(a, a, head, 1 / 45)][-1]
     assert ab != ba  # order matters: the controller carries state
 
-    ctrl.reset()
+    ctrl.reset_rows(1)
     again = [ctrl.step(a, a, head, 1 / 45), ctrl.step(b, b, head, 1 / 45)][-1]
     assert again == ab  # fresh state makes runs reproducible
 
@@ -304,7 +304,7 @@ def test_lstm_reset_after_lockstep_leaves_one_zero_row_and_a_clear_latch():
     _, faults = ctrl.step_rows(x, np.full(3, 1 / 45), np.arange(3))
     assert faults.tolist() == [True, False, False] and ctrl.faulted
     assert ctrl.hidden[1:].any()
-    ctrl.reset()
+    ctrl.reset_rows(1)
     assert not ctrl.faulted
     assert ctrl.row_faulted.tolist() == [False]
     for state in (ctrl.hidden, ctrl.cell):
@@ -327,8 +327,8 @@ def test_controller_config_roundtrip(tmp_path):
         path = tmp_path / f"{ctrl.name}.json"
         save_controller(ctrl, path)
         loaded = load_controller(path)
-        loaded.reset()
-        ctrl.reset()
+        loaded.reset_rows(1)
+        ctrl.reset_rows(1)
         assert loaded.family == ctrl.family
         assert loaded.name == ctrl.name
         assert loaded.step(left, right, head, 1 / 90) == ctrl.step(left, right, head, 1 / 90)

@@ -31,6 +31,7 @@ from gazehead.nn import DenseNet, LstmNet
 from gazehead.training import TrainConfig, fit, head_deltas
 from oracles import (
     ReplayController,
+    StepRowsMixin,
     ZeroController,
     focal_point_scalar,
     focal_points_loop,
@@ -41,7 +42,7 @@ from oracles import (
 QUIET = RolloutConfig(noise_sigma_deg=0.0, seed=1)
 
 
-class FaultyController(Controller):
+class FaultyController(StepRowsMixin, Controller):
     family = "faulty"
 
     def __init__(self, fail_at):
@@ -114,8 +115,9 @@ def test_rollout_noise_free_determinism():
     ctrl = QuadrantController()
     a = rollout(ctrl, oracle, QUIET)
     b = rollout(ctrl, oracle, QUIET)
-    assert np.array_equal(a.imputed, b.imputed)
     assert np.array_equal(a.step_errors, b.step_errors)
+    _, errors = rollout_loop(ctrl, oracle, 0.0, 1, 1)
+    assert a.step_errors.tobytes() == errors.tobytes()
 
 
 def test_rollout_noisy_determinism_same_seed():
@@ -126,13 +128,15 @@ def test_rollout_noisy_determinism_same_seed():
     config = RolloutConfig(noise_sigma_deg=0.5, seed=33)
     a = rollout(VectorController(VectorParams(axis, axis)), oracle, config)
     b = rollout(VectorController(VectorParams(axis, axis)), oracle, config)
-    assert np.array_equal(a.imputed, b.imputed)
+    assert np.array_equal(a.step_errors, b.step_errors)
+    _, errors = rollout_loop(VectorController(VectorParams(axis, axis)), oracle, 0.5, 33, 1)
+    assert a.step_errors.tobytes() == errors.tobytes()
     c = rollout(
         VectorController(VectorParams(axis, axis)),
         oracle,
         RolloutConfig(noise_sigma_deg=0.5, seed=34),
     )
-    assert not np.array_equal(a.imputed, c.imputed)
+    assert not np.array_equal(a.step_errors, c.step_errors)
 
 
 def test_rollout_mse_is_mean_of_steps():
@@ -227,8 +231,8 @@ def test_lstm_rollout_ticks_at_its_trained_rate():
     result = rollout(controller, traj, QUIET)
     n = len(traj)
     assert dts == [(1.0 / traj.rate_hz) * 3] * len(range(0, n - 1, 3))
-    moved = [t for t in range(n - 1) if not np.array_equal(result.imputed[t + 1], result.imputed[t])]
-    assert moved == list(range(0, n - 1, 3))
+    _, errors = rollout_loop(controller, traj, 0.0, 1, 3)
+    assert result.step_errors.tobytes() == errors.tobytes()
 
 
 def test_stateful_rate_ratio_must_be_whole():
@@ -241,10 +245,10 @@ def test_stateful_rate_ratio_must_be_whole():
 def test_evaluate_suite_rows_carry_step_errors():
     _, oracle = generate_task(Task.ARC_PURSUIT, TaskConfig(duration=1.0), seed=6)
     table = evaluate_suite({"quadrant": QuadrantController()}, [oracle], QUIET)
-    direct = rollout(QuadrantController(), oracle, QUIET)
+    _, errors = rollout_loop(QuadrantController(), oracle, 0.0, 1, 1)
     (row,) = table.rows
-    assert np.array_equal(row.step_errors, direct.step_errors)
-    assert row.steps == len(direct.step_errors) and row.mse == direct.mse
+    assert row.step_errors.tobytes() == errors.tobytes()
+    assert row.steps == len(errors) and row.mse == float(np.mean(errors))
     assert "step_errors" not in table.to_json()["trajectories"][0]
 
 
@@ -280,9 +284,8 @@ def test_rollout_matches_step_loop_oracle_bitwise(sigma):
     config = RolloutConfig(noise_sigma_deg=sigma, seed=21, duration_cap_s=1.5)
     for controller, every in parity_controllers():
         result = rollout(controller, traj, config)
-        imputed, errors = rollout_loop(controller, traj, sigma, 21, every, n=135)
+        _, errors = rollout_loop(controller, traj, sigma, 21, every, n=135)
         assert len(errors) == 135
-        assert result.imputed.tobytes() == imputed.tobytes(), controller.name
         assert result.step_errors.tobytes() == errors.tobytes(), controller.name
 
 
@@ -328,11 +331,10 @@ def oracle_rows(controllers, trajs, sigma, seed, cap):
     return rows
 
 
-def assert_rows_equal(results, oracle):
-    assert len(results) == len(oracle)
-    for result, (imputed, errors) in zip(results, oracle):
-        assert result.imputed.tobytes() == imputed.tobytes()
-        assert result.step_errors.tobytes() == errors.tobytes()
+def assert_rows_equal(errors, oracle):
+    assert len(errors) == len(oracle)
+    for row, (_, expected) in zip(errors, oracle):
+        assert row.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -354,8 +356,8 @@ def test_lockstep_matches_step_loop_oracle_bitwise(data):
     controllers = [mixed_controller(kind, seed=k) for k, kind in enumerate(kinds)]
     config = RolloutConfig(noise_sigma_deg=sigma, seed=seed, duration_cap_s=cap)
     for lo, hi in zip([0, *cuts], [*cuts, len(trajs)]):
-        results = lockstep(controllers, trajs[lo:hi], config)
-        assert_rows_equal(results, oracle_rows(controllers, trajs[lo:hi], sigma, seed, cap))
+        errors, _ = lockstep(controllers, trajs[lo:hi], config)
+        assert_rows_equal(errors, oracle_rows(controllers, trajs[lo:hi], sigma, seed, cap))
 
 
 class ScriptedRng:
@@ -401,7 +403,7 @@ def test_parallel_axis_draw_is_redrawn_and_the_right_eye_reads_after_it(monkeypa
 
     monkeypatch.setattr(rollout_module._Noise, "take", recording)
     controllers = [controller for controller, _ in parity_controllers()]
-    results = lockstep(controllers, [traj], RolloutConfig(noise_sigma_deg=sigma, seed=0))
+    errors, _ = lockstep(controllers, [traj], RolloutConfig(noise_sigma_deg=sigma, seed=0))
     # first step: left angle and raw axis at 0-3, the redraw at 4-6, then
     # the right eye from 7 on; the LSTM row steps too, so every row reads
     rows = len(controllers)
@@ -410,7 +412,7 @@ def test_parallel_axis_draw_is_redrawn_and_the_right_eye_reads_after_it(monkeypa
         rollout_loop(controller, traj, sigma, 0, every, rng=ScriptedRng(values))
         for controller, every in parity_controllers()
     ]
-    assert_rows_equal(results, oracle)
+    assert_rows_equal(errors, oracle)
 
 
 def test_batched_focal_points_match_scalar_oracle_bitwise():

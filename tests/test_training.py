@@ -282,6 +282,22 @@ def test_fit_rejects_mixed_sample_rates():
         fit_vector_params([fast, slow], iterations=1, learning_rate=0.05)
 
 
+@pytest.mark.parametrize("family, samples, rate", [
+    ("quadrant", 1, "90"), ("vector", 1, "90"), ("mlp", 1, "90"), ("lstm", 2, "45"),
+])
+@pytest.mark.parametrize("side", ["train", "test"])
+def test_fit_rejects_a_trajectory_too_short_to_learn_from(family, samples, rate, side):
+    # 2 samples are one sample at the LSTM's downsampled 45 Hz
+    short = make_trajectory(np.arange(samples) / 90.0, vec3(0, 0, 1), participant_id=7,
+                            task=Task.ARC_PURSUIT)
+    train, test = [static_head_traj()], [static_head_traj()]
+    (train if side == "train" else test).append(short)
+    config = TrainConfig(family=family, epochs=1, vector_iterations=1)
+    with pytest.raises(ValueError, match=rf"^participant 7 arc-pursuit: 1 samples at {rate} Hz, "
+                                         "fewer than the 2 a fit needs$"):
+        fit(config, train, test)
+
+
 def test_controller_without_predict_is_a_type_error():
     class Bare(Controller):
         family = "bare"

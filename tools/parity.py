@@ -17,14 +17,15 @@ trees byte for byte:
   each with a report and a checkpoint, and a wide lstm H64 (small and
   wide recurrent matrix products can round differently, so each size
   gets its own run);
-- ``rollout`` of all six with ``--steps-csv`` and ``--duration-cap``;
+- ``evaluate`` of each of the six alone with ``--steps-csv`` and
+  ``--duration-cap`` (``rollout-<name>.*``);
 - ``evaluate`` of the first five, serial and with ``--jobs 2``, with
   ``--csv``, and once with ``--noise 0``;
 - ``report`` of the evaluate tables;
 - ``exosim`` of every controller;
-- ``rollout`` of quadrant on each of a fixed list of corruptions of one
-  generated file (``MALFORMED``), each expected to exit 1; its stderr is
-  kept as ``malformed/<name>.stderr``.
+- ``evaluate`` of quadrant on each of a fixed list of corruptions of one
+  generated file (``MALFORMED``, ``malformed_argv``), each expected to
+  exit 1; its stderr is kept as ``malformed/<name>.stderr``.
 
 Only ``wall_time_s`` in the train reports, a clock reading, is masked. The
 first differing file and its first differing number are printed, and the
@@ -52,7 +53,7 @@ TRAIN = {
     "lstm64": ["--family", "lstm", "--hidden", "64", "--epochs", "2", "--lr", "0.01"],
 }
 CONFIGS = [f"{name}.json" for name in CONTROLLERS]
-TRAINED = (*CONTROLLERS, "lstm64")  # trained, rolled out and run in exosim
+TRAINED = (*CONTROLLERS, "lstm64")  # trained, evaluated alone and run in exosim
 
 
 def pipeline():
@@ -67,7 +68,7 @@ def pipeline():
         steps.append(["train", *TRAIN[name], "--data", "data", "--seed", "0", "--name", name,
                       "--out", f"{name}.json", "--report", f"{name}.report.json"])
     for name in TRAINED:
-        steps.append(["rollout", "--controller", f"{name}.json", "--data", "data", "--seed", "3",
+        steps.append(["evaluate", "--controllers", f"{name}.json", "--data", "data", "--seed", "3",
                       "--duration-cap", "4", "--out", f"rollout-{name}.json",
                       "--steps-csv", f"rollout-{name}.steps.csv"])
     steps += [
@@ -107,6 +108,12 @@ MALFORMED = {
 }
 
 
+def malformed_argv(name):
+    """The command run on corruption ``name``, expected to exit 1."""
+    return ["evaluate", "--controllers", "quadrant.json", "--data", f"malformed/{name}.jsonl",
+            "--seed", "3", "--out", f"malformed/{name}.table.json"]
+
+
 def corrupted(lines, edits):
     lines = list(lines)
     for i, key, text in edits:
@@ -144,8 +151,7 @@ def run_pipeline(tree: Path, out: Path):
     for name, edits in MALFORMED.items():
         (bad / f"{name}.jsonl").write_text("\n".join(corrupted(source, edits)) + "\n",
                                            encoding="utf-8", errors="surrogateescape")
-        stderr = run(["rollout", "--controller", "quadrant.json", "--data", f"malformed/{name}.jsonl",
-                      "--seed", "3", "--out", f"malformed/{name}.table.json"], out, env, tree, status=1)
+        stderr = run(malformed_argv(name), out, env, tree, status=1)
         (bad / f"{name}.stderr").write_text(stderr, encoding="utf-8")
 
 
