@@ -457,8 +457,9 @@ class TaskConfig:
 
     def __post_init__(self):
         for name in ("duration", "rate_hz"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         frames = round(self.duration * self.rate_hz)  # as generate_task counts them
         if frames < 2:
             raise ValueError(f"duration {self.duration:g} s at rate_hz {self.rate_hz:g} gives "

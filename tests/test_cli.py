@@ -66,13 +66,20 @@ def test_unknown_task_exits_2(tmp_path):
     assert err.value.code == 2
 
 
-@pytest.mark.parametrize("duration, frames", [("0.001", 0), ("0.01", 1)])
-def test_generate_rejects_a_trial_shorter_than_two_frames(tmp_path, capsys, duration, frames):
+@pytest.mark.parametrize(
+    "option, value, reason",
+    [
+        ("--duration", "0.001", "duration 0.001 s at rate_hz 90 gives 0 frames; a trial needs at least 2"),
+        ("--duration", "0.01", "duration 0.01 s at rate_hz 90 gives 1 frames; a trial needs at least 2"),
+        ("--duration", "nan", "duration must be positive and finite, got nan"),
+        ("--rate", "inf", "rate_hz must be positive and finite, got inf"),
+    ],
+    ids=["0-frames", "1-frame", "nan-duration", "inf-rate"],
+)
+def test_generate_names_a_trial_without_two_frames(tmp_path, capsys, option, value, reason):
     out = tmp_path / "d"
-    assert run_cli("generate", "--participants", "1", "--duration", duration, "--out", out) == 1
-    assert capsys.readouterr().err == (
-        f"error: duration {duration} s at rate_hz 90 gives {frames} frames; a trial needs at least 2\n"
-    )
+    assert run_cli("generate", "--participants", "1", option, value, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: {reason}\n"
     assert not out.exists()
 
 
