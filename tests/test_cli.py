@@ -15,7 +15,7 @@ import pytest
 import gazehead
 from gazehead.cli import _load_dir, build_parser, main
 from gazehead.controllers import QuadrantController, load_controller, save_controller
-from gazehead.rollout import RolloutConfig, evaluate_suite
+from gazehead.rollout import RolloutConfig, evaluate_suite, rollout
 
 
 def run_cli(*argv):
@@ -240,6 +240,39 @@ def test_evaluate_steps_csv_under_a_duration_cap_keeps_its_bytes_under_jobs(pipe
         assert row["steps"] == 5 * 90
         assert [step for step, _ in steps] == list(range(row["steps"]))
         assert float(np.mean([err for _, err in steps])) == row["mse"]
+
+
+def test_rollout_steps_csv_repeats_byte_for_byte(pipeline, tmp_path):
+    runs = []
+    for run in ("a", "b"):
+        assert run_cli("evaluate", "--controllers", pipeline / "lstm.json", "--data", pipeline / "data",
+                       "--seed", "11", "--duration-cap", "5", "--out", tmp_path / f"{run}.json",
+                       "--steps-csv", tmp_path / f"{run}.csv") == 0
+        runs.append([(tmp_path / f"{run}.{ext}").read_bytes() for ext in ("json", "csv")])
+    assert runs[0] == runs[1]
+
+
+def test_rollout_matches_evaluate(pipeline, tmp_path):
+    # rollout.rollout is evaluate for one controller and one trial: same
+    # row, and the step errors the steps CSV writes, bit for bit
+    common = ["--data", pipeline / "data", "--seed", "11"]
+    assert run_cli("evaluate", "--controllers", pipeline / "lstm.json", *common,
+                   "--out", tmp_path / "evaluate.json", "--steps-csv", tmp_path / "steps.csv") == 0
+    table = json.loads((tmp_path / "evaluate.json").read_text())
+    errors = {}
+    with open(tmp_path / "steps.csv", newline="") as f:
+        for r in csv.DictReader(f):
+            errors.setdefault((r["controller"], r["task"], r["trajectory"]), []).append(r["squared_error"])
+    controller = load_controller(pipeline / "lstm.json")
+    config = RolloutConfig(noise_sigma_deg=table["noise_sigma_deg"], seed=11)
+    trajs = _load_dir(str(pipeline / "data"))
+    assert len(trajs) == len(table["trajectories"]) == 3
+    for traj, expected in zip(trajs, table["trajectories"]):
+        # the label numbers a trial within its suite, so one trial alone is -00
+        label = expected.pop("trajectory")
+        row = rollout(controller, traj, config)
+        assert {key: getattr(row, key) for key in expected} == expected
+        assert [repr(float(err)) for err in row.step_errors] == errors[(row.controller, row.task, label)]
 
 
 @pytest.mark.parametrize("sigma", [0.5, 2.0])
