@@ -148,6 +148,7 @@ def _write_table(path, table):
 
 
 def cmd_evaluate(args):
+    config = RolloutConfig(noise_sigma_deg=args.noise, seed=args.seed, duration_cap_s=args.duration_cap)
     controllers = {}
     for path in args.controllers:
         controller = load_controller(path)
@@ -155,7 +156,6 @@ def cmd_evaluate(args):
             raise ValueError(f"duplicate controller name {controller.name!r}")
         controllers[controller.name] = controller
     trajs = _load_dir(args.data)
-    config = RolloutConfig(noise_sigma_deg=args.noise, seed=args.seed, duration_cap_s=args.duration_cap)
     table = evaluate_suite(controllers, trajs, config, jobs=args.jobs)
     _write_table(args.out, table)
     if args.csv:

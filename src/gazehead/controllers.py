@@ -177,10 +177,11 @@ class Controller:
     def _guard_rows(self, out):
         """_guard on every row of (K, 2) commands, in place; returns the
         (K,) fault mask."""
+        if np.isfinite(out).all():
+            return np.zeros(len(out), dtype=bool)
         faults = ~np.isfinite(out).all(axis=1)
-        if faults.any():
-            out[faults] = 0.0
-            self.faulted = True
+        out[faults] = 0.0
+        self.faulted = True
         return faults
 
 
@@ -210,10 +211,9 @@ class _LawController(Controller):
         return self._guard(*self._command(normalize(left_dir + right_dir), dt))
 
     def step_rows(self, x, dt, rows):
-        out = np.empty((len(x), 2))
         units = normalize_rows(x[:, 0:3] + x[:, 3:6]).tolist()
-        for k, (unit, row_dt) in enumerate(zip(units, dt.tolist())):
-            out[k] = self._command(unit, row_dt)
+        out = np.array([self._command(unit, row_dt) for unit, row_dt in zip(units, dt.tolist())])
+        out = out.reshape(len(x), 2)
         return out, self._guard_rows(out)
 
     def predict(self, xs, dts):
@@ -336,10 +336,12 @@ class LstmController(_NetController):
         y, hidden, cell = self.net.step_rows(self.hidden[rows], self.cell[rows], x)
         out = y * (dt * self.train_rate_hz)[:, None]
         faults = self._guard_rows(out)
-        self.row_faulted[rows] |= faults
-        keep = ~self.row_faulted[rows]
-        self.hidden[rows[keep]] = hidden[keep]
-        self.cell[rows[keep]] = cell[keep]
+        if faults.any() or self.row_faulted[rows].any():
+            self.row_faulted[rows] |= faults
+            keep = ~self.row_faulted[rows]
+            rows, hidden, cell = rows[keep], hidden[keep], cell[keep]
+        self.hidden[rows] = hidden
+        self.cell[rows] = cell
         return out, faults
 
     def predict(self, xs, dts):

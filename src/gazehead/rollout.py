@@ -24,6 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .controllers import Controller
 from .dataset import TASK_ORDER, Trajectory
@@ -37,8 +38,11 @@ class RolloutConfig:
     duration_cap_s: float | None = None
 
     def __post_init__(self):
-        if self.noise_sigma_deg < 0:
-            raise ValueError("noise sigma must be nonnegative")
+        sigma, cap = self.noise_sigma_deg, self.duration_cap_s
+        if not (sigma >= 0 and math.isfinite(sigma)):
+            raise ValueError(f"noise_sigma_deg must be nonnegative and finite, got {sigma!r}")
+        if cap is not None and not math.isfinite(cap):
+            raise ValueError(f"duration_cap_s must be finite, got {cap!r}")
 
 
 def precompute_focal_points(traj: Trajectory) -> np.ndarray:
@@ -76,6 +80,9 @@ def _tick_divisor(controller: Controller, traj: Trajectory) -> int:
     return round(ratio)
 
 
+_READ_MAX = 8  # the widest read: both eyes' angle and raw axis
+
+
 class _Noise:
     """One standard-normal stream per trajectory, drawn from its rollout
     generator in blocks; every row reads its trajectory's stream from its
@@ -89,36 +96,51 @@ class _Noise:
     def __init__(self, rngs, sizes):
         self.rngs = rngs
         self.drawn = np.array(sizes)
-        self.z = np.zeros((len(rngs), max(sizes)))
+        self.z = np.zeros((len(rngs), 0))
+        self._grow(max(sizes))
         for j, (rng, size) in enumerate(zip(rngs, sizes)):
             self.z[j, :size] = rng.standard_normal(size)
 
+    def _grow(self, drawn):
+        """Room for ``drawn`` values per stream and one read past them, so
+        that every read is a row of ``windows``."""
+        self.z = np.pad(self.z, ((0, 0), (0, drawn + _READ_MAX - self.z.shape[1])))
+        self.windows = sliding_window_view(self.z, _READ_MAX, axis=1)
+
     def take(self, traj_index, pos, width):
         """(K, width) values of trajectory traj_index[k]'s stream from
-        pos[k]; a stream that runs out is extended from its generator."""
+        pos[k], width at most _READ_MAX; a stream that runs out is extended
+        from its generator."""
         end = pos + width
         short = end > self.drawn[traj_index]
         if short.any():
             for j in np.unique(traj_index[short]):
                 self._extend(j, end[traj_index == j].max())
-        return self.z[traj_index[:, None], pos[:, None] + np.arange(width)]
+        return self.windows[traj_index, pos, :width]
 
     def _extend(self, j, end):
         extra = self.rngs[j].standard_normal(max(end - self.drawn[j], 64))
         stop = self.drawn[j] + len(extra)
-        if stop > self.z.shape[1]:
-            self.z = np.pad(self.z, ((0, 0), (0, stop - self.z.shape[1])))
+        if stop + _READ_MAX > self.z.shape[1]:
+            self._grow(stop)
         self.z[j, self.drawn[j] : stop] = extra
         self.drawn[j] = stop
 
 
+def _rotated(dirs, z, sigma_rad, axis, n):
+    """Each direction rotated by |0.0 + sigma * z[:, 0]| about its raw axis
+    over its norm n (Rodrigues, with the parallel term dropped)."""
+    angle = np.abs(0.0 + sigma_rad * z[:, 0])
+    axis /= n[:, None]
+    return dirs * np.cos(angle)[:, None] + crosses(axis, dirs) * np.sin(angle)[:, None]
+
+
 def _perturb_rows(dirs, sigma_rad, noise, traj_index, pos):
     """Rotate each unit direction by |N(0, sigma)| about a random axis
-    perpendicular to it (Rodrigues, with the parallel term dropped); a raw
-    axis draw that is parallel to the direction is drawn again. Returns the
-    perturbed (K, 3) directions and the rows' new read positions."""
+    perpendicular to it; a raw axis draw that is parallel to the direction
+    is drawn again. Returns the perturbed (K, 3) directions and the rows'
+    new read positions."""
     z = noise.take(traj_index, pos, 4)
-    angle = np.abs(0.0 + sigma_rad * z[:, 0])
     axis = crosses(dirs, z[:, 1:])
     n = norms(axis)
     pos = pos + 4
@@ -128,16 +150,69 @@ def _perturb_rows(dirs, sigma_rad, noise, traj_index, pos):
         n[todo] = norms(axis[todo])
         pos[todo] += 3
         todo = todo[n[todo] <= 1e-9]
-    axis /= n[:, None]
-    return dirs * np.cos(angle)[:, None] + crosses(axis, dirs) * np.sin(angle)[:, None], pos
+    return _rotated(dirs, z, sigma_rad, axis, n), pos
+
+
+def _perturb_eyes(gaze, sigma_rad, noise, traj_index, pos):
+    """_perturb_rows on K rows' left eyes, then on their right eyes from
+    where the left eyes' reads end, for (2K, 3) directions that hold each
+    row's left eye and then its right eye. Both eyes' 8 values are read in
+    one call; a step on which any raw axis is drawn again takes the two
+    calls, because a redraw moves where the right eye reads."""
+    z = noise.take(traj_index, pos, 8).reshape(-1, 4)
+    axis = crosses(gaze, z[:, 1:])
+    n = norms(axis)
+    if (n <= 1e-9).any():
+        left, pos = _perturb_rows(gaze[0::2], sigma_rad, noise, traj_index, pos)
+        right, pos = _perturb_rows(gaze[1::2], sigma_rad, noise, traj_index, pos)
+        return np.stack([left, right], axis=1).reshape(-1, 3), pos
+    return _rotated(gaze, z, sigma_rad, axis, n), pos + 8
 
 
 def _padded(arrays, length):
-    """(J, length, 3) array of J (n_j, 3) arrays, zero past each one's end."""
-    out = np.zeros((len(arrays), length, 3))
+    """(length, J, 3) array of J (n_j, 3) arrays, zero past each one's end:
+    each sample's rows of every trajectory are one block."""
+    out = np.zeros((length, len(arrays), 3))
     for j, a in enumerate(arrays):
-        out[j, : len(a)] = a
+        out[: len(a), j] = a
     return out
+
+
+# head_rotation's entries, row by row, as u * v * sign over the columns
+# (sin pitch, sin yaw, cos pitch, cos yaw, 1): cy, -sy sp, sy cp, 0, cp, sp,
+# -sy, -cy sp, cy cp; a product by 1 or -1 is exact
+_ROT_U = np.array([3, 1, 1, 4, 2, 0, 1, 3, 3])
+_ROT_V = np.array([4, 0, 2, 4, 4, 4, 4, 0, 2])
+_ROT_SIGN = np.array([1.0, -1.0, 1.0, 0.0, 1.0, 1.0, -1.0, -1.0, 1.0])
+
+
+def _head_rotations(angles):
+    """head_rotation of every (pitch, yaw) row of (D, 2) angles, bit for
+    bit, as one C-contiguous (D, 3, 3) block. A stacked matmul over a
+    transposed view of the entries, such as ``np.array(entries).T``, would
+    round differently."""
+    trig = np.ones((len(angles), 5))
+    np.sin(angles, out=trig[:, 0:2])
+    np.cos(angles, out=trig[:, 2:4])
+    return (trig.take(_ROT_U, axis=1) * trig.take(_ROT_V, axis=1) * _ROT_SIGN).reshape(-1, 3, 3)
+
+
+class _Due:
+    """The rows that step at a sample: their trajectories, each one's left
+    and then right eye, and each controller's share of them as
+    ``(controller, slice of the due rows, tick lengths, its own rows)``."""
+
+    def __init__(self, due, traj_of, controllers, bounds, step_dt):
+        self.rows = due
+        self.traj = traj_of[due]
+        self.eyes = np.repeat(due, 2)
+        self.eye_traj = traj_of[self.eyes]
+        cuts = np.searchsorted(due, bounds).tolist()
+        self.calls = [
+            (controller, slice(lo, hi), step_dt[due[lo:hi]], due[lo:hi] - bound)
+            for controller, lo, hi, bound in zip(controllers, cuts, cuts[1:], bounds)
+            if lo < hi
+        ]
 
 
 def lockstep(controllers, trajs, config: RolloutConfig):
@@ -149,9 +224,9 @@ def lockstep(controllers, trajs, config: RolloutConfig):
     order, and the (rows,) mask of rows whose controller faulted; n_j is
     trajectory j's length under the duration cap. Each row gets the bits
     of a rollout on its own: focal points, head data and the noise stream
-    are per trajectory, every controller steps all of its due rows in one
-    ``step_rows`` call, and each row's step is masked by its length and its
-    tick divisor.
+    are per trajectory, both eyes of every due row are one (2K, 3) batch,
+    every controller steps all of its due rows in one ``step_rows`` call,
+    and each row's step is masked by its length and its tick divisor.
     """
     n_traj = len(trajs)
     traj_of = np.tile(np.arange(n_traj), len(controllers))
@@ -176,50 +251,46 @@ def lockstep(controllers, trajs, config: RolloutConfig):
     for controller in controllers:
         controller.reset_rows(n_traj)
     start = [dir_to_pitch_yaw(traj.head_dir[0]) for traj in trajs]
-    pitch = np.array([start[j][0] for j in traj_of])
-    yaw = np.array([start[j][1] for j in traj_of])
-    eyes = [np.array([[-EYE_OFFSET, 0.0, 0.0]]), np.array([[EYE_OFFSET, 0.0, 0.0]])]
-    bounds = np.arange(len(controllers) + 1) * n_traj
+    angles = np.array([start[j] for j in traj_of])  # (rows, 2): pitch, yaw
+    # each row's left eye, then its right eye, in the head frame
+    eyes = np.tile([[-EYE_OFFSET, 0.0, 0.0], [EYE_OFFSET, 0.0, 0.0]], (len(traj_of), 1))
+    eyes = eyes[:, :, None]
+    bounds = (np.arange(len(controllers) + 1) * n_traj).tolist()
+    # the due rows repeat with the tick phase until a row ends
+    period, ends, plans = int(np.lcm.reduce(every)), set(last.tolist()), {}
     pos = np.zeros(len(traj_of), dtype=int)
     faulted = np.zeros(len(traj_of), dtype=bool)
     errors = np.empty((len(traj_of), t_max))
     for t in range(t_max):
-        sp, cp, sy, cy = np.sin(pitch), np.cos(pitch), np.sin(yaw), np.cos(yaw)
-        forward = np.stack([cp * sy, sp, cp * cy], axis=1)  # pitch_yaw_to_dir
-        diff = forward - head_dir[traj_of, t]
+        rot = _head_rotations(angles)
+        forward = rot[:, :, 2]  # pitch_yaw_to_dir: the same products, commuted
+        diff = forward - head_dir[t].take(traj_of, axis=0)
         errors[:, t] = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
-        due = np.flatnonzero((t < last) & (t % every == 0))
+        if t in ends:
+            plans.clear()
+        due = plans.get(t % period)
+        if due is None:
+            rows = np.flatnonzero((t < last) & (t % every == 0))
+            due = plans[t % period] = _Due(rows, traj_of, controllers, bounds, step_dt)
         command = np.zeros((len(traj_of), 2))
-        if due.size:
-            sp, cp, sy, cy = sp[due], cp[due], sy[due], cy[due]
-            rot = np.stack(  # head_rotation
-                [cy, -sy * sp, sy * cp, np.zeros_like(cp), cp, sp, -sy, -cy * sp, cy * cp], axis=1
-            ).reshape(-1, 3, 3)
-            due_traj = traj_of[due]
-            gaze = []
-            for eye in eyes:
-                local = np.repeat(eye, len(due), axis=0)
-                origin = head_pos[due_traj, t] + (rot @ local[:, :, None])[:, :, 0]
-                d = focal[due_traj, t] - origin
-                gaze.append(d / norms(d)[:, None])
+        if due.calls:
+            rot2 = rot[due.eyes]
+            offsets = (rot2 @ eyes[: len(due.eyes)])[:, :, 0]
+            origin = head_pos[t].take(due.eye_traj, axis=0) + offsets
+            d = focal[t].take(due.eye_traj, axis=0) - origin
+            gaze = d / norms(d)[:, None]
             if noise is not None:
-                gaze[0], p = _perturb_rows(gaze[0], sigma, noise, due_traj, pos[due])
-                gaze[1], pos[due] = _perturb_rows(gaze[1], sigma, noise, due_traj, p)
-            head_frame = rot.transpose(0, 2, 1)
-            x = np.concatenate(
-                [(head_frame @ g[:, :, None])[:, :, 0] for g in gaze] + [forward[due]], axis=1
-            )
-            cuts = np.searchsorted(due, bounds)
-            for c, controller in enumerate(controllers):
-                lo, hi = cuts[c], cuts[c + 1]
-                if lo < hi:
-                    rows = due[lo:hi]
-                    out, faults = controller.step_rows(x[lo:hi], step_dt[rows], rows - bounds[c])
-                    command[rows] = out
-                    faulted[rows] |= faults
+                gaze, pos[due.rows] = _perturb_eyes(gaze, sigma, noise, due.traj, pos[due.rows])
+            head_frame = (rot2.transpose(0, 2, 1) @ gaze[:, :, None]).reshape(-1, 6)
+            x = np.concatenate([head_frame, forward[due.rows]], axis=1)
+            steps = [controller.step_rows(x[part], dt, rows) for controller, part, dt, rows in due.calls]
+            command[due.rows] = np.concatenate([out for out, _ in steps])
+            faults = np.concatenate([faults for _, faults in steps])
+            if faults.any():
+                faulted[due.rows] |= faults
         # every row adds its command, 0.0 when it does not step, as rotate_head does
-        pitch = np.clip(pitch + command[:, 0], -PITCH_LIMIT, PITCH_LIMIT)
-        yaw = yaw + command[:, 1]
+        angles += command
+        np.clip(angles[:, 0], -PITCH_LIMIT, PITCH_LIMIT, out=angles[:, 0])
 
     return [errors[b, : lengths[j]] for b, j in enumerate(traj_of.tolist())], faulted
 

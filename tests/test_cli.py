@@ -92,6 +92,29 @@ def test_a_malformed_participant_id_list_exits_2_naming_the_option(tmp_path, cap
     assert f"argument {option}: not a comma-separated list of integers: {ids!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "option, value, reason",
+    [
+        ("--noise", "nan", "noise_sigma_deg must be nonnegative and finite, got nan"),
+        ("--noise", "inf", "noise_sigma_deg must be nonnegative and finite, got inf"),
+        ("--duration-cap", "nan", "duration_cap_s must be finite, got nan"),
+        ("--duration-cap", "inf", "duration_cap_s must be finite, got inf"),
+    ],
+    ids=["nan-noise", "inf-noise", "nan-cap", "inf-cap"],
+)
+def test_evaluate_names_a_non_finite_rollout_option(quadrant_config, tmp_path, capsys, option, value,
+                                                     reason):
+    data = tmp_path / "d"
+    assert run_cli("generate", "--participants", "1", "--task", "linear-pursuit", "--duration", "1",
+                   "--out", data) == 0
+    capsys.readouterr()
+    out = tmp_path / "t.json"
+    assert run_cli("evaluate", "--controllers", quadrant_config, "--data", data, option, value,
+                   "--out", out) == 1
+    assert capsys.readouterr().err == f"error: {reason}\n"
+    assert not out.exists()
+
+
 def test_every_parity_command_parses():
     # a subcommand or option that tools/parity.py runs and the CLI lacks
     # fails here, not at the next parity run

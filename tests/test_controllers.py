@@ -273,6 +273,53 @@ def test_lstm_step_rows_equal_step_per_row_and_latch_faults():
     assert batched.faulted and batched.row_faulted.tolist() == [True, False, False]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_lstm_row_that_faulted_keeps_its_state_after_the_latch_is_cleared():
+    # row 1 faults at the second call; the latch is cleared after every
+    # call, as ExoSim.tick clears it, yet row 1's state never moves again,
+    # whether or not a later call includes it, and rows 0 and 2 keep
+    # stepping with ``step``'s bits
+    net = LstmNet(9, 4, seed=3)
+    batched = LstmController(net)
+    batched.reset_rows(3)
+    single = [LstmController(net) for _ in range(3)]
+    xs = np.random.default_rng(6).normal(size=(6, 3, 9))
+    xs[1, 1, 4] = np.nan
+    calls = [[0, 1, 2], [0, 1, 2], [0, 1, 2], [1], [0, 2], [2, 1, 0]]
+    for step, rows in enumerate(calls):
+        rows = np.array(rows)
+        x = xs[step, rows]
+        out, faults = batched.step_rows(x, np.full(len(rows), 1 / 45), rows)
+        assert faults.tolist() == [step == 1 and r == 1 for r in rows]
+        batched.faulted = False
+        for k, r in enumerate(rows):
+            expect = single[r].step(x[k, 0:3], x[k, 3:6], x[k, 6:9], 1 / 45)
+            assert tuple(out[k]) == expect
+        for r, ctrl in enumerate(single):
+            assert batched.hidden[r].tobytes() == ctrl.hidden[0].tobytes()
+            assert batched.cell[r].tobytes() == ctrl.cell[0].tobytes()
+        if step == 1:
+            frozen = batched.hidden[1].copy(), batched.cell[1].copy()
+    assert batched.row_faulted.tolist() == [False, True, False]
+    assert batched.hidden[1].tobytes() == frozen[0].tobytes()
+    assert batched.cell[1].tobytes() == frozen[1].tobytes()
+
+
+@pytest.mark.parametrize("latched", [False, True])
+def test_guard_rows_on_finite_commands_is_an_all_false_mask_and_keeps_the_latch(latched):
+    ctrl = QuadrantController()
+    ctrl.faulted = latched
+    out = np.array([[0.1, -0.2], [0.0, 3.0], [-1e300, 1e-300]])
+    before = out.tobytes()
+    faults = ctrl._guard_rows(out)
+    assert faults.shape == (3,) and faults.dtype == bool and not faults.any()
+    assert ctrl.faulted is latched
+    assert out.tobytes() == before
+    out[1, 0] = np.inf
+    assert ctrl._guard_rows(out).tolist() == [False, True, False]
+    assert ctrl.faulted and out[1].tolist() == [0.0, 0.0]
+
+
 def test_lstm_step_advances_row_0_and_leaves_the_other_rows_alone():
     # rows 1 and 2 take a lockstep step; row 0 is still fresh, so step
     # gives a fresh controller's bits, and it never touches rows 1 and 2

@@ -404,15 +404,90 @@ def test_parallel_axis_draw_is_redrawn_and_the_right_eye_reads_after_it(monkeypa
     monkeypatch.setattr(rollout_module._Noise, "take", recording)
     controllers = [controller for controller, _ in parity_controllers()]
     errors, _ = lockstep(controllers, [traj], RolloutConfig(noise_sigma_deg=sigma, seed=0))
-    # first step: left angle and raw axis at 0-3, the redraw at 4-6, then
-    # the right eye from 7 on; the LSTM row steps too, so every row reads
+    # first step: one read of both eyes at 0-7 finds the parallel axis, so
+    # the step reads again eye by eye: left angle and raw axis at 0-3, the
+    # redraw at 4-6, then the right eye from 7 on; the LSTM row steps too,
+    # so every row reads
     rows = len(controllers)
-    assert reads[:3] == [([0] * rows, 4), ([4] * rows, 3), ([7] * rows, 4)]
+    assert reads[:4] == [([0] * rows, 8), ([0] * rows, 4), ([4] * rows, 3), ([7] * rows, 4)]
     oracle = [
         rollout_loop(controller, traj, sigma, 0, every, rng=ScriptedRng(values))
         for controller, every in parity_controllers()
     ]
     assert_rows_equal(errors, oracle)
+
+
+def first_step_aim(traj, eye_x):
+    """The unit direction of the eye at (eye_x, 0, 0) in the head frame at
+    the first step, as rollout_loop aims it."""
+    pitch, yaw = dir_to_pitch_yaw(traj.head_dir[0])
+    origin = traj.head_pos[0] + head_rotation(pitch, yaw) @ np.array([eye_x, 0.0, 0.0])
+    aim = focal_points_loop(traj)[0] - origin
+    return aim / np.linalg.norm(aim)
+
+
+def test_parallel_right_eye_draw_is_redrawn_after_the_left_eye_reads(monkeypatch):
+    traj = truncated(degenerate_interior_traj(), 12)
+    sigma = 0.5
+    values = np.random.default_rng(8).standard_normal(400)
+    values[5:8] = first_step_aim(traj, 0.03)  # the right eye's first raw axis: rejected
+    monkeypatch.setattr(rollout_module, "_rollout_rng", lambda config, traj: ScriptedRng(values))
+    reads = []
+    take = rollout_module._Noise.take
+
+    def recording(self, traj_index, pos, width):
+        reads.append((pos.tolist(), width))
+        return take(self, traj_index, pos, width)
+
+    monkeypatch.setattr(rollout_module._Noise, "take", recording)
+    controllers = [controller for controller, _ in parity_controllers()]
+    errors, _ = lockstep(controllers, [traj], RolloutConfig(noise_sigma_deg=sigma, seed=0))
+    # first step: both eyes at 0-7, then eye by eye: the left eye at 0-3, the
+    # right eye's angle and raw axis at 4-7 and its redraw at 8-10; the
+    # second step reads both eyes from 11 on, without the LSTM row (it
+    # steps every second sample)
+    rows = len(controllers)
+    assert reads[:5] == [([0] * rows, 8), ([0] * rows, 4), ([4] * rows, 4), ([8] * rows, 3),
+                         ([11] * (rows - 1), 8)]
+    oracle = [
+        rollout_loop(controller, traj, sigma, 0, every, rng=ScriptedRng(values))
+        for controller, every in parity_controllers()
+    ]
+    assert_rows_equal(errors, oracle)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 4, 24])
+def test_head_rotation_block_has_each_rows_bits(rows):
+    # lockstep's (rows, 3, 3) block; np.array(entries).T.reshape(-1, 3, 3)
+    # is a view that is not C-contiguous when rows >= 2, and a stacked
+    # matmul over it rounds differently
+    rng = np.random.default_rng(rows)
+    angles = np.column_stack([rng.uniform(-1.5, 1.5, rows), rng.uniform(-7.0, 7.0, rows)])
+    angles[0, 0] = math.radians(89.0)  # the pitch clamp
+    if rows > 1:
+        angles[-1] = [-0.0, 0.0]
+    v = rng.normal(size=(rows, 3))
+    rot = rollout_module._head_rotations(angles)
+    assert rot.shape == (rows, 3, 3) and rot.flags.c_contiguous
+    turned = (rot @ v[:, :, None])[:, :, 0]
+    back = (rot.transpose(0, 2, 1) @ v[:, :, None])[:, :, 0]
+    for k, (pitch, yaw) in enumerate(angles.tolist()):
+        one = head_rotation(pitch, yaw)
+        assert rot[k].tobytes() == one.tobytes()
+        assert turned[k].tobytes() == (one @ v[k]).tobytes()
+        assert back[k].tobytes() == (one.T @ v[k]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("noise_sigma_deg", math.nan), ("noise_sigma_deg", math.inf), ("noise_sigma_deg", -0.5),
+     ("duration_cap_s", math.nan), ("duration_cap_s", math.inf), ("duration_cap_s", -math.inf)],
+)
+def test_rollout_config_rejects_a_non_finite_option(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be .*finite, got {value!r}$"):
+        RolloutConfig(**{field: value})
+    RolloutConfig(noise_sigma_deg=0.0, duration_cap_s=None)
+    RolloutConfig(duration_cap_s=2.5)
 
 
 def test_batched_focal_points_match_scalar_oracle_bitwise():
