@@ -257,7 +257,8 @@ def lockstep(controllers, trajs, config: RolloutConfig):
     eyes = eyes[:, :, None]
     bounds = (np.arange(len(controllers) + 1) * n_traj).tolist()
     # the due rows repeat with the tick phase until a row ends
-    period, ends, plans = int(np.lcm.reduce(every)), set(last.tolist()), {}
+    period, ends = int(np.lcm.reduce(every)), set(last.tolist())
+    plans = {}
     pos = np.zeros(len(traj_of), dtype=int)
     faulted = np.zeros(len(traj_of), dtype=bool)
     errors = np.empty((len(traj_of), t_max))

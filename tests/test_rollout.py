@@ -483,7 +483,7 @@ def test_head_rotation_block_has_each_rows_bits(rows):
     [("noise_sigma_deg", math.nan), ("noise_sigma_deg", math.inf), ("noise_sigma_deg", -0.5),
      ("duration_cap_s", math.nan), ("duration_cap_s", math.inf), ("duration_cap_s", -math.inf)],
 )
-def test_rollout_config_rejects_a_non_finite_option(field, value):
+def test_rollout_config_rejects_a_negative_or_non_finite_option(field, value):
     with pytest.raises(ValueError, match=rf"^{field} must be .*finite, got {value!r}$"):
         RolloutConfig(**{field: value})
     RolloutConfig(noise_sigma_deg=0.0, duration_cap_s=None)
