@@ -178,23 +178,14 @@ def _padded(arrays, length):
     return out
 
 
-# head_rotation's entries, row by row, as u * v * sign over the columns
-# (sin pitch, sin yaw, cos pitch, cos yaw, 1): cy, -sy sp, sy cp, 0, cp, sp,
-# -sy, -cy sp, cy cp; a product by 1 or -1 is exact
-_ROT_U = np.array([3, 1, 1, 4, 2, 0, 1, 3, 3])
-_ROT_V = np.array([4, 0, 2, 4, 4, 4, 4, 0, 2])
-_ROT_SIGN = np.array([1.0, -1.0, 1.0, 0.0, 1.0, 1.0, -1.0, -1.0, 1.0])
-
-
 def _head_rotations(angles):
     """head_rotation of every (pitch, yaw) row of (D, 2) angles, bit for
-    bit, as one C-contiguous (D, 3, 3) block. A stacked matmul over a
-    transposed view of the entries, such as ``np.array(entries).T``, would
-    round differently."""
-    trig = np.ones((len(angles), 5))
-    np.sin(angles, out=trig[:, 0:2])
-    np.cos(angles, out=trig[:, 2:4])
-    return (trig.take(_ROT_U, axis=1) * trig.take(_ROT_V, axis=1) * _ROT_SIGN).reshape(-1, 3, 3)
+    bit, as one C-contiguous (D, 3, 3) block: a stacked matmul over the
+    transposed view ``entries.T`` would round differently."""
+    sp, sy = np.sin(angles).T
+    cp, cy = np.cos(angles).T
+    entries = np.array([cy, -sy * sp, sy * cp, np.zeros_like(cp), cp, sp, -sy, -cy * sp, cy * cp])
+    return np.ascontiguousarray(entries.T).reshape(-1, 3, 3)
 
 
 class _Due:
