@@ -30,6 +30,11 @@ from .dataset import Trajectory, downsample
 from .geometry import dirs_to_pitch_yaw
 from .nn import AdamState, DenseNet, LstmNet, adam_step
 
+# Decoupled (AdamW) decay of an LSTM's head-direction input columns, its last
+# three: each Adam step scales them by 1 - learning_rate * HEAD_DECAY, so the
+# fit leans less on the one input that a rollout imputes from its own output.
+HEAD_DECAY = 1.0
+
 
 def head_deltas(traj: Trajectory):
     """(T-1, 2) per-step (dpitch, dyaw) in radians from head directions.
@@ -156,10 +161,13 @@ def _fit_net(config: TrainConfig, trajs, build_net, prep):
     footing as the freshly initialized outputs; afterwards the scale is
     folded back into the linear output head, so the returned net emits raw
     per-tick deltas. Reported losses are converted back to radians^2.
+    An LSTM's head-direction input columns decay by HEAD_DECAY.
     """
     net = build_net()
     params = net.params()
     state = AdamState(learning_rate=config.learning_rate)
+    head = slice(net.input_size - 3, net.input_size) if net.kind == "lstm" else None
+    keep = 1.0 - config.learning_rate * HEAD_DECAY
     prepared = [prep(t) for t in trajs]
     lengths = [x.shape[0] + 1 for x, _ in prepared]
     rms = math.sqrt(float(np.mean(np.concatenate([d for _, d in prepared]) ** 2)))
@@ -171,6 +179,8 @@ def _fit_net(config: TrainConfig, trajs, build_net, prep):
             loss, grads = net.sequence_loss_grads(x, d * scale)
             epoch_losses.append(loss)
             params, state = adam_step(params, grads, state)
+            if head is not None:
+                params["w"][:, head] *= keep
             net.set_params(params)
         report_losses.append(float(np.mean(epoch_losses)) / scale**2)
     if net.kind == "dense":
