@@ -24,7 +24,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
-from .geometry import dir_to_pitch_yaw, dirs_to_pitch_yaw, normalize, normalize_rows
+from .geometry import dir_to_pitch_yaw, normalize, normalize_rows
 from .nn import DenseNet, LstmNet, load_checkpoint, save_checkpoint
 
 _EXP_MAX = 700.0  # exp() overflow guard; beyond this the law is exactly 0
@@ -111,16 +111,22 @@ def quadrant_step(params: QuadrantParams, gaze_pitch: float, gaze_yaw: float, dt
 
 def combined_inputs(x):
     """(N, 6) inputs from (N, 9) ones: the normalized mean of the left and
-    right gaze, then the head direction."""
-    combined = x[:, 0:3] + x[:, 3:6]
-    combined /= np.linalg.norm(combined, axis=1, keepdims=True)
-    return np.concatenate([combined, x[:, 6:9]], axis=1)
+    right gaze, each row with the bits of ``normalize(left + right)``, then
+    the head direction."""
+    return np.concatenate([normalize_rows(x[:, 0:3] + x[:, 3:6]), x[:, 6:9]], axis=1)
+
+
+def gaze_angle(unit):
+    """(pitch, yaw) in degrees of a unit combined gaze, by
+    ``dir_to_pitch_yaw``'s ``math``: the angles every law family takes."""
+    pitch, yaw = dir_to_pitch_yaw(unit)
+    return math.degrees(pitch), math.degrees(yaw)
 
 
 def gaze_angles(x):
-    """(N, 2) combined-gaze (pitch, yaw) in degrees of (N, 9) inputs."""
-    pitch, yaw = dirs_to_pitch_yaw(combined_inputs(x)[:, 0:3])
-    return np.degrees(np.column_stack([pitch, yaw]))
+    """gaze_angle of each row's combined gaze, a list of N pairs from
+    (N, 9) inputs."""
+    return [gaze_angle(unit) for unit in combined_inputs(x)[:, 0:3].tolist()]
 
 
 class Controller:
@@ -189,10 +195,9 @@ class _LawController(Controller):
     """A hand-designed family: its angle-level ``law(params, gaze_pitch,
     gaze_yaw, dt)``, in degrees, applied to the combined gaze.
 
-    step, step_rows and predict each keep their own arithmetic, so each
-    keeps its bits: step normalizes one row, step_rows normalizes all rows
-    at once, and predict takes numpy's ``gaze_angles`` (which round
-    differently from ``math``'s).
+    step, step_rows and predict share one arithmetic, so a row gets the
+    same bits in closed loop and teacher-forced: the combined gaze of
+    ``normalize`` (``combined_inputs`` on rows), then ``gaze_angle``.
     """
 
     law = None  # staticmethod(params, gaze_pitch, gaze_yaw, dt) -> degrees
@@ -201,27 +206,22 @@ class _LawController(Controller):
         super().__init__(name)
         self.params = params
 
-    def _command(self, unit, dt):
-        """The law's (dpitch, dyaw) in radians at a unit mean-gaze direction."""
-        pitch, yaw = dir_to_pitch_yaw(unit)
-        dp, dy = self.law(self.params, math.degrees(pitch), math.degrees(yaw), dt)
-        return math.radians(dp), math.radians(dy)
+    def _commands(self, x, dts):
+        """(K, 2) law commands in radians of (K, 9) inputs and K tick lengths."""
+        law, params = self.law, self.params
+        commands = [law(params, p, y, dt) for (p, y), dt in zip(gaze_angles(x), dts)]
+        return np.radians(commands).reshape(-1, 2)
 
     def step(self, left_dir, right_dir, head_dir, dt):
-        return self._guard(*self._command(normalize(left_dir + right_dir), dt))
+        dp, dy = self.law(self.params, *gaze_angle(normalize(left_dir + right_dir)), dt)
+        return self._guard(math.radians(dp), math.radians(dy))
 
     def step_rows(self, x, dt, rows):
-        units = normalize_rows(x[:, 0:3] + x[:, 3:6]).tolist()
-        out = np.array([self._command(unit, row_dt) for unit, row_dt in zip(units, dt.tolist())])
-        out = out.reshape(len(x), 2)
+        out = self._commands(x, dt.tolist())
         return out, self._guard_rows(out)
 
     def predict(self, xs, dts):
-        law, params = self.law, self.params
-        return [
-            np.radians([law(params, p, y, dt) for p, y in gaze_angles(x).tolist()]).reshape(-1, 2)
-            for x, dt in zip(xs, dts)
-        ]
+        return [self._commands(x, [dt] * len(x)) for x, dt in zip(xs, dts)]
 
 
 class QuadrantController(_LawController):
@@ -332,7 +332,7 @@ class LstmController(_NetController):
 
     def step_rows(self, x, dt, rows):
         if self.net.input_size == 6:
-            x = np.concatenate([normalize_rows(x[:, 0:3] + x[:, 3:6]), x[:, 6:9]], axis=1)
+            x = combined_inputs(x)
         y, hidden, cell = self.net.step_rows(self.hidden[rows], self.cell[rows], x)
         out = y * (dt * self.train_rate_hz)[:, None]
         faults = self._guard_rows(out)

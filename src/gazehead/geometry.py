@@ -67,7 +67,7 @@ def normalize(v: Vec3) -> Vec3:
 def normalize_rows(rows: np.ndarray) -> np.ndarray:
     """normalize on every row of an (N, 3) array, bit for bit."""
     n = norms(rows)
-    if np.any(n < 1e-9):
+    if (n < 1e-9).any():
         raise ValueError("cannot normalize a near-zero vector")
     return rows / n[:, None]
 
@@ -179,6 +179,22 @@ def head_rotation_entries(pitch: float, yaw: float) -> tuple[float, ...]:
 def head_rotation(pitch: float, yaw: float) -> np.ndarray:
     """World-from-head rotation matrix for a roll-free head pose."""
     return np.array(head_rotation_entries(pitch, yaw)).reshape(3, 3)
+
+
+def head_rotations(angles: np.ndarray) -> np.ndarray:
+    """head_rotation of every (pitch, yaw) row of (N, 2) angles, bit for
+    bit, as one C-contiguous (N, 3, 3) block: a stacked matmul over the
+    transposed view ``entries.T`` would round differently."""
+    sp, sy = np.sin(angles).T
+    cp, cy = np.cos(angles).T
+    entries = np.array([cy, -sy * sp, sy * cp, np.zeros_like(cp), cp, sp, -sy, -cy * sp, cy * cp])
+    return np.ascontiguousarray(entries.T).reshape(-1, 3, 3)
+
+
+def to_head_frame(rot: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """(N, 3) world directions in the frames of (N, 3, 3) head_rotations:
+    each row has the bits of the one-row ``rot[k].T @ dirs[k]``."""
+    return (rot.transpose(0, 2, 1) @ dirs[:, :, None])[:, :, 0]
 
 
 @dataclass

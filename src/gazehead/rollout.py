@@ -28,7 +28,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .controllers import Controller
 from .dataset import TASK_ORDER, Trajectory
-from .geometry import EYE_OFFSET, PITCH_LIMIT, crosses, dir_to_pitch_yaw, focal_points, norms
+from .geometry import (EYE_OFFSET, PITCH_LIMIT, crosses, dir_to_pitch_yaw, focal_points,
+                       head_rotations, norms, to_head_frame)
 
 
 @dataclass
@@ -178,16 +179,6 @@ def _padded(arrays, length):
     return out
 
 
-def _head_rotations(angles):
-    """head_rotation of every (pitch, yaw) row of (D, 2) angles, bit for
-    bit, as one C-contiguous (D, 3, 3) block: a stacked matmul over the
-    transposed view ``entries.T`` would round differently."""
-    sp, sy = np.sin(angles).T
-    cp, cy = np.cos(angles).T
-    entries = np.array([cy, -sy * sp, sy * cp, np.zeros_like(cp), cp, sp, -sy, -cy * sp, cy * cp])
-    return np.ascontiguousarray(entries.T).reshape(-1, 3, 3)
-
-
 class _Due:
     """The rows that step at a sample: their trajectories, each one's left
     and then right eye, and each controller's share of them as
@@ -254,7 +245,7 @@ def lockstep(controllers, trajs, config: RolloutConfig):
     faulted = np.zeros(len(traj_of), dtype=bool)
     errors = np.empty((len(traj_of), t_max))
     for t in range(t_max):
-        rot = _head_rotations(angles)
+        rot = head_rotations(angles)
         forward = rot[:, :, 2]  # pitch_yaw_to_dir: the same products, commuted
         diff = forward - head_dir[t].take(traj_of, axis=0)
         errors[:, t] = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
@@ -273,8 +264,7 @@ def lockstep(controllers, trajs, config: RolloutConfig):
             gaze = d / norms(d)[:, None]
             if noise is not None:
                 gaze, pos[due.rows] = _perturb_eyes(gaze, sigma, noise, due.traj, pos[due.rows])
-            head_frame = (rot2.transpose(0, 2, 1) @ gaze[:, :, None]).reshape(-1, 6)
-            x = np.concatenate([head_frame, forward[due.rows]], axis=1)
+            x = np.concatenate([to_head_frame(rot2, gaze).reshape(-1, 6), forward[due.rows]], axis=1)
             steps = [controller.step_rows(x[part], dt, rows) for controller, part, dt, rows in due.calls]
             command[due.rows] = np.concatenate([out for out, _ in steps])
             faults = np.concatenate([faults for _, faults in steps])

@@ -27,7 +27,7 @@ from .controllers import (
     gaze_angles,
 )
 from .dataset import Trajectory, downsample
-from .geometry import dirs_to_pitch_yaw
+from .geometry import dirs_to_pitch_yaw, head_rotations, to_head_frame
 from .nn import AdamState, DenseNet, LstmNet, adam_step
 
 # Decoupled (AdamW) decay of an LSTM's head-direction input columns, its last
@@ -46,29 +46,14 @@ def head_deltas(traj: Trajectory):
     return np.column_stack([np.diff(pitch), np.diff(np.unwrap(yaw))])
 
 
-def _to_head_frame(dirs, sp, cp, sy, cy):
-    """Apply the transpose of the roll-free head rotation, vectorized."""
-    dx, dy, dz = dirs[:, 0], dirs[:, 1], dirs[:, 2]
-    return np.column_stack(
-        [
-            cy * dx - sy * dz,
-            -sy * sp * dx + cp * dy - cy * sp * dz,
-            sy * cp * dx + sp * dy + cy * cp * dz,
-        ]
-    )
-
-
 def net_inputs(traj: Trajectory):
     """(T-1, 9) network inputs: head-relative left/right gaze directions
-    plus the world-frame head direction."""
+    plus the world-frame head direction. The gaze goes into the head frame
+    as in a rollout, by ``to_head_frame`` of the ``head_rotations`` at the
+    recorded head angles."""
     head, left, right = traj.head_dir[:-1], traj.left_dir[:-1], traj.right_dir[:-1]
-    pitch, yaw = dirs_to_pitch_yaw(head)
-    sp, cp = np.sin(pitch), np.cos(pitch)
-    sy, cy = np.sin(yaw), np.cos(yaw)
-    return np.concatenate(
-        [_to_head_frame(left, sp, cp, sy, cy), _to_head_frame(right, sp, cp, sy, cy), head],
-        axis=1,
-    )
+    rot = head_rotations(np.column_stack(dirs_to_pitch_yaw(head)))
+    return np.concatenate([to_head_frame(rot, left), to_head_frame(rot, right), head], axis=1)
 
 
 def dataset_loss(controller: Controller, trajs) -> float:
@@ -248,14 +233,9 @@ def fit_vector_axis(x_deg, target_rad, dt, iterations, learning_rate):
 
 def fit_vector_params(trajs, iterations, learning_rate) -> VectorParams:
     """Fit independent pitch/yaw quadruples on pooled trajectory data."""
-    xs = []
-    ds = []
     dt = 1.0 / _common_rate(trajs)
-    for traj in trajs:
-        xs.append(gaze_angles(net_inputs(traj)))
-        ds.append(head_deltas(traj))
-    x = np.concatenate(xs)
-    d = np.concatenate(ds)
+    x = np.array([angles for traj in trajs for angles in gaze_angles(net_inputs(traj))])
+    d = np.concatenate([head_deltas(traj) for traj in trajs])
     pitch = fit_vector_axis(x[:, 0], d[:, 0], dt, iterations, learning_rate)
     yaw = fit_vector_axis(x[:, 1], d[:, 1], dt, iterations, learning_rate)
     return VectorParams(pitch=pitch, yaw=yaw, symmetric=True)

@@ -115,17 +115,41 @@ def test_evaluate_names_a_non_finite_rollout_option(quadrant_config, tmp_path, c
     assert not out.exists()
 
 
-def test_every_parity_command_parses():
-    # a subcommand or option that tools/parity.py runs and the CLI lacks
-    # fails here, not at the next parity run
+def load_parity():
     path = Path(__file__).resolve().parents[1] / "tools" / "parity.py"
     spec = importlib.util.spec_from_file_location("parity", path)
     parity = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(parity)
+    return parity
+
+
+def test_every_parity_command_parses():
+    # a subcommand or option that tools/parity.py runs and the CLI lacks
+    # fails here, not at the next parity run
+    parity = load_parity()
     argvs = parity.pipeline() + [parity.malformed_argv(name) for name in parity.MALFORMED]
     parser = build_parser()
     for argv in argvs:
         parser.parse_args(argv)
+
+
+def test_parity_names_every_differing_file(tmp_path, capsys):
+    # an announced output change takes its list of changed artifacts from
+    # this output, so no differing file may go unnamed
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for tree in (parent, change):
+        (tree / "report").mkdir(parents=True)
+        (tree / "same.csv").write_text("t,err\n0,0.5\n")
+    (parent / "a.json").write_text('{"mse": 1.5}\n')
+    (change / "a.json").write_text('{"mse": 1.25}\n')
+    (parent / "report" / "b.csv").write_text("t,err\n0,3\n")
+    (change / "report" / "b.csv").write_text("t,err\n0,4\n")
+    assert load_parity().compare(parent, change) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: a.json: line 1: 1.5 != 1.25",
+        "differs: report/b.csv: line 2: 3 != 4",
+        "3 files compared, 2 differ, 0 only in one tree",
+    ]
 
 
 def test_missing_data_dir_runtime_error(tmp_path):

@@ -12,6 +12,7 @@ from gazehead.controllers import (
     VectorAxisParams,
     VectorController,
     VectorParams,
+    combined_inputs,
     control_law,
     load_controller,
     quadrant_step,
@@ -19,7 +20,14 @@ from gazehead.controllers import (
     symmetric_control_law,
     vector_step,
 )
-from gazehead.geometry import pitch_yaw_to_dir, vec3
+from gazehead.geometry import (
+    dir_to_pitch_yaw,
+    dirs_to_pitch_yaw,
+    normalize,
+    normalize_rows,
+    pitch_yaw_to_dir,
+    vec3,
+)
 from gazehead.nn import DenseNet, LstmNet, save_checkpoint
 from oracles import control_law_mp, lstm_predict_loop
 
@@ -145,6 +153,44 @@ def test_quadrant_controller_stateless_and_axis_aligned():
         assert ctrl.step(left, right, head, 1 / 90) == first
     assert first[0] == 0.0
     assert abs(first[1] - math.radians(20 / 90)) < 1e-12
+
+
+def test_combined_inputs_normalize_each_row_as_a_rollout_does():
+    rng = np.random.default_rng(29)
+    x = rng.normal(size=(500, 9))
+    combined = combined_inputs(x)
+    assert combined[:, 0:3].tobytes() == normalize_rows(x[:, 0:3] + x[:, 3:6]).tobytes()
+    assert combined[:, 3:6].tobytes() == x[:, 6:9].tobytes()
+    for k in range(len(x)):
+        assert combined[k, 0:3].tobytes() == normalize(x[k, 0:3] + x[k, 3:6]).tobytes()
+
+
+@pytest.mark.parametrize("family", ["quadrant", "vector"])
+def test_law_predict_has_the_bits_of_step_rows(family):
+    # head-frame gaze near straight ahead; numpy's arcsin and arctan2 round
+    # some rows' angles differently from math's, which step_rows takes
+    rng = np.random.default_rng(23)
+    left, right, head = (
+        normalize_rows(rng.normal(size=(400, 3)) * [0.4, 0.4, 0.2] + [0.0, 0.0, 1.0]) for _ in range(3)
+    )
+    x = np.concatenate([left, right, head], axis=1)
+    units = normalize_rows(left + right)
+    pitch, yaw = np.degrees(dirs_to_pitch_yaw(units))
+    exact = [tuple(map(math.degrees, dir_to_pitch_yaw(unit))) for unit in units.tolist()]
+    wider = [k for k, (p, y) in enumerate(exact) if math.hypot(pitch[k], yaw[k]) > math.hypot(p, y)]
+    assert wider
+    if family == "quadrant":
+        # the deadzone's edge at one such row: inside it by math's angles,
+        # outside by numpy's
+        controller = QuadrantController(QuadrantParams(deadzone_diameter=2 * math.hypot(*exact[wider[0]])))
+    else:
+        controller = VectorController(
+            VectorParams(VectorAxisParams(0.8, 0.5, 6.0, 1.0), VectorAxisParams(1.2, 0.3, 4.0, -2.0))
+        )
+    dt = 1 / 90
+    out, faults = controller.step_rows(x, np.full(len(x), dt), np.arange(len(x)))
+    assert not faults.any()
+    assert controller.predict([x], [dt])[0].tobytes() == out.tobytes()
 
 
 def test_mlp_controller_zero_net():

@@ -18,7 +18,15 @@ from gazehead.controllers import (
 )
 from gazehead.dataset import COLUMNS, Task, TaskConfig, generate_task
 from gazehead import rollout as rollout_module
-from gazehead.geometry import dir_to_pitch_yaw, focal_points, head_rotation, normalize, vec3
+from gazehead.geometry import (
+    dir_to_pitch_yaw,
+    focal_points,
+    head_rotation,
+    head_rotations,
+    normalize,
+    to_head_frame,
+    vec3,
+)
 from gazehead.rollout import (
     EvalTable,
     RolloutConfig,
@@ -458,24 +466,28 @@ def test_parallel_right_eye_draw_is_redrawn_after_the_left_eye_reads(monkeypatch
 
 @pytest.mark.parametrize("rows", [1, 2, 4, 24])
 def test_head_rotation_block_has_each_rows_bits(rows):
-    # lockstep's (rows, 3, 3) block; np.array(entries).T.reshape(-1, 3, 3)
-    # is a view that is not C-contiguous when rows >= 2, and a stacked
-    # matmul over it rounds differently
+    # the (rows, 3, 3) block that lockstep and net_inputs build;
+    # np.array(entries).T.reshape(-1, 3, 3) is a view that is not
+    # C-contiguous when rows >= 2, and a stacked matmul over it rounds
+    # differently
     rng = np.random.default_rng(rows)
     angles = np.column_stack([rng.uniform(-1.5, 1.5, rows), rng.uniform(-7.0, 7.0, rows)])
     angles[0, 0] = math.radians(89.0)  # the pitch clamp
     if rows > 1:
         angles[-1] = [-0.0, 0.0]
     v = rng.normal(size=(rows, 3))
-    rot = rollout_module._head_rotations(angles)
+    rot = head_rotations(angles)
     assert rot.shape == (rows, 3, 3) and rot.flags.c_contiguous
     turned = (rot @ v[:, :, None])[:, :, 0]
     back = (rot.transpose(0, 2, 1) @ v[:, :, None])[:, :, 0]
+    framed = to_head_frame(rot, v)
+    assert framed.shape == (rows, 3)
     for k, (pitch, yaw) in enumerate(angles.tolist()):
         one = head_rotation(pitch, yaw)
         assert rot[k].tobytes() == one.tobytes()
         assert turned[k].tobytes() == (one @ v[k]).tobytes()
         assert back[k].tobytes() == (one.T @ v[k]).tobytes()
+        assert framed[k].tobytes() == (one.T @ v[k]).tobytes()
 
 
 @pytest.mark.parametrize(

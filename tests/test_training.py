@@ -14,7 +14,7 @@ from gazehead.controllers import (
     symmetric_control_law,
 )
 from gazehead.dataset import COLUMNS, Task, TaskConfig, downsample, generate_participant, generate_task
-from gazehead.geometry import pitch_yaw_to_dir, vec3
+from gazehead.geometry import dirs_to_pitch_yaw, head_rotation, pitch_yaw_to_dir, vec3
 from gazehead.nn import DenseNet
 from gazehead.training import (
     TrainConfig,
@@ -328,6 +328,22 @@ def test_lstm_dataset_loss_sums_the_per_trajectory_step_loop_in_order(lstm_input
     for traj, pred in zip(slow, lstm_predict_loop(controller, map(net_inputs, slow), [1 / 45] * 5)):
         expect += float(np.sum((pred - head_deltas(traj)) ** 2))
     assert dataset_loss(controller, slow) == expect / (2 * sum(len(t) - 1 for t in slow))
+
+
+@pytest.mark.parametrize("step", [1, 2])
+def test_net_inputs_put_the_gaze_in_the_head_frame_as_a_rollout_does(step):
+    # each row is lockstep's one-row product at the recorded head angles
+    config = TaskConfig(duration=2.0, motor_noise_rms=20.0, motor_noise_tau=0.5)
+    for task in Task:
+        _, traj = generate_task(task, config, seed=13)
+        traj = downsample(traj, step)
+        x = net_inputs(traj)
+        pitch, yaw = dirs_to_pitch_yaw(traj.head_dir)
+        for t, (p, y) in enumerate(zip(pitch[:-1].tolist(), yaw[:-1].tolist())):
+            rot = head_rotation(p, y)
+            assert x[t, 0:3].tobytes() == (rot.T @ traj.left_dir[t]).tobytes()
+            assert x[t, 3:6].tobytes() == (rot.T @ traj.right_dir[t]).tobytes()
+            assert x[t, 6:9].tobytes() == traj.head_dir[t].tobytes()
 
 
 @pytest.mark.parametrize("duration", [2.0, 2.0 + 1 / 90, 30.0])

@@ -27,9 +27,10 @@ trees byte for byte:
   generated file (``MALFORMED``, ``malformed_argv``), each expected to
   exit 1; its stderr is kept as ``malformed/<name>.stderr``.
 
-Only ``wall_time_s`` in the train reports, a clock reading, is masked. The
-first differing file and its first differing number are printed, and the
-exit status is 1 on any difference, 0 when every file matches.
+Only ``wall_time_s`` in the train reports, a clock reading, is masked.
+Every differing file is printed with its first differing number, and every
+file found in one tree only, and the exit status is 1 on any difference, 0
+when every file matches.
 """
 
 from __future__ import annotations
@@ -180,16 +181,19 @@ def _first_difference(a: bytes, b: bytes) -> str:
 
 
 def compare(parent: Path, change: Path) -> int:
-    """Print the first difference; returns the number of differing files."""
+    """Print each differing file with its first difference, and each file
+    of one tree only; returns the number of such files."""
     files = {p.relative_to(parent) for p in parent.rglob("*") if p.is_file()}
     other = {p.relative_to(change) for p in change.rglob("*") if p.is_file()}
     only = sorted(files ^ other)
-    if only:
-        print(f"only in one tree: {only[0]} ({len(only)} files)")
-    differ = [f for f in sorted(files & other) if _masked(parent / f) != _masked(change / f)]
-    if differ:
-        first = differ[0]
-        print(f"differs: {first}: {_first_difference(_masked(parent / first), _masked(change / first))}")
+    for f in only:
+        print(f"only in one tree: {f}")
+    differ = []
+    for f in sorted(files & other):
+        a, b = _masked(parent / f), _masked(change / f)
+        if a != b:
+            differ.append(f)
+            print(f"differs: {f}: {_first_difference(a, b)}")
     print(f"{len(files & other)} files compared, {len(differ)} differ, {len(only)} only in one tree")
     return len(differ) + len(only)
 
