@@ -15,8 +15,10 @@ from gazehead.controllers import (
 )
 from gazehead.dataset import COLUMNS, Task, TaskConfig, downsample, generate_participant, generate_task
 from gazehead.geometry import dirs_to_pitch_yaw, head_rotation, pitch_yaw_to_dir, vec3
-from gazehead.nn import DenseNet
+from gazehead import training
+from gazehead.nn import DenseNet, LstmNet
 from gazehead.training import (
+    HEAD_DECAY,
     TrainConfig,
     dataset_loss,
     fit,
@@ -265,6 +267,23 @@ def test_fit_lstm_consumes_downsampled_lengths():
     # 8100-sample input halves to 4050; the fitted sequence is one shorter
     assert report.trajectory_lengths == [4050]
     assert controller.train_rate_hz == 45.0
+
+
+@pytest.mark.parametrize("lstm_input", [9, 6])
+def test_lstm_fit_decays_only_the_head_direction_columns(monkeypatch, lstm_input):
+    # with Adam's own update taken out, each step scales the last three
+    # input columns of w, the head direction, and leaves every other weight
+    monkeypatch.setattr(training, "adam_step", lambda params, grads, state: (
+        {k: v.copy() for k, v in params.items()}, state))
+    trajs = make_dataset(2, duration=2.0)
+    config = TrainConfig(family="lstm", hidden=(4,), epochs=3, learning_rate=0.01, seed=5,
+                         lstm_input=lstm_input)
+    controller, _ = fit(config, trajs)
+    expect = LstmNet(lstm_input, 4, seed=5).w
+    head = expect[:, lstm_input - 3 : lstm_input]
+    for _ in range(config.epochs * len(trajs)):
+        head *= 1.0 - config.learning_rate * HEAD_DECAY
+    assert controller.net.w.tobytes() == expect.tobytes()
 
 
 def test_fit_rejects_empty_training_set():
