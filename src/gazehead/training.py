@@ -234,7 +234,7 @@ def fit_vector_axis(x_deg, target_rad, dt, iterations, learning_rate):
 def fit_vector_params(trajs, iterations, learning_rate) -> VectorParams:
     """Fit independent pitch/yaw quadruples on pooled trajectory data."""
     dt = 1.0 / _common_rate(trajs)
-    x = np.array([angles for traj in trajs for angles in gaze_angles(net_inputs(traj))])
+    x = np.concatenate([np.array(gaze_angles(net_inputs(traj))) for traj in trajs])
     d = np.concatenate([head_deltas(traj) for traj in trajs])
     pitch = fit_vector_axis(x[:, 0], d[:, 0], dt, iterations, learning_rate)
     yaw = fit_vector_axis(x[:, 1], d[:, 1], dt, iterations, learning_rate)
