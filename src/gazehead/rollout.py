@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .controllers import Controller
 from .dataset import TASK_ORDER, Trajectory
@@ -39,11 +39,13 @@ class RolloutConfig:
     duration_cap_s: float | None = None
 
     def __post_init__(self):
-        sigma, cap = self.noise_sigma_deg, self.duration_cap_s
+        sigma, cap, seed = self.noise_sigma_deg, self.duration_cap_s, self.seed
         if not (sigma >= 0 and math.isfinite(sigma)):
             raise ValueError(f"noise_sigma_deg must be nonnegative and finite, got {sigma!r}")
         if cap is not None and not math.isfinite(cap):
             raise ValueError(f"duration_cap_s must be finite, got {cap!r}")
+        if not (isinstance(seed, numbers.Integral) and seed >= 0):
+            raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 def precompute_focal_points(traj: Trajectory) -> np.ndarray:
@@ -81,99 +83,27 @@ def _tick_divisor(controller: Controller, traj: Trajectory) -> int:
     return round(ratio)
 
 
-_READ_MAX = 8  # the widest read: both eyes' angle and raw axis
-
-
-class _Noise:
-    """One standard-normal stream per trajectory, drawn from its rollout
-    generator in blocks; every row reads its trajectory's stream from its
-    own position, as if it owned the generator.
-
-    Reading the values of ``normal(0.0, sigma)`` and ``normal(size=3)`` from
-    a block as ``0.0 + sigma * z`` and ``z`` gives the same bits as drawing
-    them one call at a time.
-    """
-
-    def __init__(self, rngs, sizes):
-        self.rngs = rngs
-        self.drawn = np.array(sizes)
-        self.z = np.zeros((len(rngs), 0))
-        self._grow(max(sizes))
-        for j, (rng, size) in enumerate(zip(rngs, sizes)):
-            self.z[j, :size] = rng.standard_normal(size)
-
-    def _grow(self, drawn):
-        """Room for ``drawn`` values per stream and one read past them, so
-        that every read is a row of ``windows``."""
-        self.z = np.pad(self.z, ((0, 0), (0, drawn + _READ_MAX - self.z.shape[1])))
-        self.windows = sliding_window_view(self.z, _READ_MAX, axis=1)
-
-    def take(self, traj_index, pos, width):
-        """(K, width) values of trajectory traj_index[k]'s stream from
-        pos[k], width at most _READ_MAX; a stream that runs out is extended
-        from its generator."""
-        end = pos + width
-        short = end > self.drawn[traj_index]
-        if short.any():
-            for j in np.unique(traj_index[short]):
-                self._extend(j, end[traj_index == j].max())
-        return self.windows[traj_index, pos, :width]
-
-    def _extend(self, j, end):
-        extra = self.rngs[j].standard_normal(max(end - self.drawn[j], 64))
-        stop = self.drawn[j] + len(extra)
-        if stop + _READ_MAX > self.z.shape[1]:
-            self._grow(stop)
-        self.z[j, self.drawn[j] : stop] = extra
-        self.drawn[j] = stop
-
-
-def _rotated(dirs, z, sigma_rad, axis, n):
-    """Each direction rotated by |0.0 + sigma * z[:, 0]| about its raw axis
-    over its norm n (Rodrigues, with the parallel term dropped)."""
+def _perturb(dirs, z, sigma_rad):
+    """Each unit direction rotated by |0.0 + sigma * z[:, 0]| about its axis
+    d x z[:, 1:] over its norm (Rodrigues, with the parallel term dropped).
+    A raw axis within 1e-9 of parallel to d gives way to d x e_k, e_k the
+    basis vector of d's smallest absolute component (the first on ties),
+    which reads no value and has norm at least sqrt(2/3)."""
+    axis = crosses(dirs, z[:, 1:])
+    n = norms(axis)
+    flat = np.flatnonzero(n <= 1e-9)
+    if flat.size:
+        axis[flat] = crosses(dirs[flat], np.eye(3)[np.abs(dirs[flat]).argmin(axis=1)])
+        n[flat] = norms(axis[flat])
     angle = np.abs(0.0 + sigma_rad * z[:, 0])
     axis /= n[:, None]
     return dirs * np.cos(angle)[:, None] + crosses(axis, dirs) * np.sin(angle)[:, None]
 
 
-def _perturb_rows(dirs, sigma_rad, noise, traj_index, pos):
-    """Rotate each unit direction by |N(0, sigma)| about a random axis
-    perpendicular to it; a raw axis draw that is parallel to the direction
-    is drawn again. Returns the perturbed (K, 3) directions and the rows'
-    new read positions."""
-    z = noise.take(traj_index, pos, 4)
-    axis = crosses(dirs, z[:, 1:])
-    n = norms(axis)
-    pos = pos + 4
-    todo = np.flatnonzero(n <= 1e-9)
-    while todo.size:  # redraw the raw axis of these rows
-        axis[todo] = crosses(dirs[todo], noise.take(traj_index[todo], pos[todo], 3))
-        n[todo] = norms(axis[todo])
-        pos[todo] += 3
-        todo = todo[n[todo] <= 1e-9]
-    return _rotated(dirs, z, sigma_rad, axis, n), pos
-
-
-def _perturb_eyes(gaze, sigma_rad, noise, traj_index, pos):
-    """_perturb_rows on K rows' left eyes, then on their right eyes from
-    where the left eyes' reads end, for (2K, 3) directions that hold each
-    row's left eye and then its right eye. Both eyes' 8 values are read in
-    one call; a step on which any raw axis is drawn again takes the two
-    calls, because a redraw moves where the right eye reads."""
-    z = noise.take(traj_index, pos, 8).reshape(-1, 4)
-    axis = crosses(gaze, z[:, 1:])
-    n = norms(axis)
-    if (n <= 1e-9).any():
-        left, pos = _perturb_rows(gaze[0::2], sigma_rad, noise, traj_index, pos)
-        right, pos = _perturb_rows(gaze[1::2], sigma_rad, noise, traj_index, pos)
-        return np.stack([left, right], axis=1).reshape(-1, 3), pos
-    return _rotated(gaze, z, sigma_rad, axis, n), pos + 8
-
-
 def _padded(arrays, length):
-    """(length, J, 3) array of J (n_j, 3) arrays, zero past each one's end:
-    each sample's rows of every trajectory are one block."""
-    out = np.zeros((length, len(arrays), 3))
+    """(length, J, width) array of J (n_j, width) arrays, zero past each
+    one's end: each sample's rows of every trajectory are one block."""
+    out = np.zeros((length, len(arrays), arrays[0].shape[1]))
     for j, a in enumerate(arrays):
         out[: len(a), j] = a
     return out
@@ -205,28 +135,37 @@ def lockstep(controllers, trajs, config: RolloutConfig):
     each row's (n_j,) per-step squared errors, in that (controller-major)
     order, and the (rows,) mask of rows whose controller faulted; n_j is
     trajectory j's length under the duration cap. Each row gets the bits
-    of a rollout on its own: focal points, head data and the noise stream
-    are per trajectory, both eyes of every due row are one (2K, 3) batch,
-    every controller steps all of its due rows in one ``step_rows`` call,
-    and each row's step is masked by its length and its tick divisor.
+    of a rollout on its own: focal points, head data and the noise are per
+    trajectory, both eyes of every due row are one (2K, 3) batch, every
+    controller steps all of its due rows in one ``step_rows`` call, and
+    each row's step is masked by its length and its tick divisor.
+
+    The noise of trajectory j is one ``standard_normal(8 * (n_j - 1))``
+    block of its rollout generator, drawn up front; a row's k-th step reads
+    values 8k to 8k+7: each eye's angle and raw axis, the left eye first.
     """
     n_traj = len(trajs)
     traj_of = np.tile(np.arange(n_traj), len(controllers))
     every = np.array([_tick_divisor(c, traj) for c in controllers for traj in trajs])
     lengths = [len(traj) for traj in trajs]
+    if min(lengths) < 1:
+        traj = trajs[lengths.index(0)]
+        raise ValueError(f"the trajectory of participant {traj.participant_id} on {traj.task.value} "
+                         "has no samples")
     if config.duration_cap_s is not None:
         cap = config.duration_cap_s
         lengths = [min(n, int(cap * traj.rate_hz)) for n, traj in zip(lengths, trajs)]
-    if min(lengths) < 1:
-        raise ValueError(f"a duration cap of {config.duration_cap_s:g} s keeps no sample")
+        if min(lengths) < 1:
+            raise ValueError(f"a duration cap of {cap:g} s keeps no sample")
     t_max = max(lengths)
     focal = _padded([precompute_focal_points(traj)[:n] for traj, n in zip(trajs, lengths)], t_max)
     head_pos = _padded([traj.head_pos[:n] for traj, n in zip(trajs, lengths)], t_max)
     head_dir = _padded([traj.head_dir[:n] for traj, n in zip(trajs, lengths)], t_max)
     sigma = math.radians(config.noise_sigma_deg)
     noise = None
-    if sigma > 0.0:  # 8 values per step: each eye's angle and axis, unless redrawn
-        noise = _Noise([_rollout_rng(config, traj) for traj in trajs], [8 * (n - 1) for n in lengths])
+    if sigma > 0.0:  # 8 values per step: each eye's angle and raw axis
+        noise = _padded([_rollout_rng(config, traj).standard_normal(8 * (n - 1)).reshape(-1, 8)
+                         for traj, n in zip(trajs, lengths)], t_max)
     step_dt = np.array([(1.0 / trajs[j].rate_hz) * e for j, e in zip(traj_of, every.tolist())])
     last = np.array(lengths)[traj_of] - 1  # a row steps at t < last
 
@@ -241,7 +180,6 @@ def lockstep(controllers, trajs, config: RolloutConfig):
     # the due rows repeat with the tick phase until a row ends
     period, ends = int(np.lcm.reduce(every)), set(last.tolist())
     plans = {}
-    pos = np.zeros(len(traj_of), dtype=int)
     faulted = np.zeros(len(traj_of), dtype=bool)
     errors = np.empty((len(traj_of), t_max))
     for t in range(t_max):
@@ -263,7 +201,8 @@ def lockstep(controllers, trajs, config: RolloutConfig):
             d = focal[t].take(due.eye_traj, axis=0) - origin
             gaze = d / norms(d)[:, None]
             if noise is not None:
-                gaze, pos[due.rows] = _perturb_eyes(gaze, sigma, noise, due.traj, pos[due.rows])
+                z = noise[t // every[due.rows], due.traj].reshape(-1, 4)
+                gaze = _perturb(gaze, z, sigma)
             x = np.concatenate([to_head_frame(rot2, gaze).reshape(-1, 6), forward[due.rows]], axis=1)
             steps = [controller.step_rows(x[part], dt, rows) for controller, part, dt, rows in due.calls]
             command[due.rows] = np.concatenate([out for out, _ in steps])

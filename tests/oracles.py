@@ -249,15 +249,17 @@ def focal_points_loop(traj):
 
 
 def perturb_np(direction, sigma_rad, rng):
-    """Per-eye gaze perturbation drawn and rotated with np.cross."""
+    """Per-eye gaze perturbation drawn and rotated with np.cross. A raw axis
+    within 1e-9 of parallel to the direction is not drawn again: the axis
+    becomes the direction crossed with the basis vector of its smallest
+    absolute component."""
     angle = abs(rng.normal(0.0, sigma_rad))
-    while True:
-        raw = rng.normal(size=3)
-        axis = np.cross(direction, raw)
+    axis = np.cross(direction, rng.normal(size=3))
+    n = np.linalg.norm(axis)
+    if n <= 1e-9:
+        axis = np.cross(direction, np.eye(3)[np.argmin(np.abs(direction))])
         n = np.linalg.norm(axis)
-        if n > 1e-9:
-            axis /= n
-            break
+    axis /= n
     return direction * math.cos(angle) + np.cross(axis, direction) * math.sin(angle)
 
 

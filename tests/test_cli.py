@@ -99,8 +99,9 @@ def test_a_malformed_participant_id_list_exits_2_naming_the_option(tmp_path, cap
         ("--noise", "inf", "noise_sigma_deg must be nonnegative and finite, got inf"),
         ("--duration-cap", "nan", "duration_cap_s must be finite, got nan"),
         ("--duration-cap", "inf", "duration_cap_s must be finite, got inf"),
+        ("--seed", "-1", "seed must be a nonnegative integer, got -1"),
     ],
-    ids=["nan-noise", "inf-noise", "nan-cap", "inf-cap"],
+    ids=["nan-noise", "inf-noise", "nan-cap", "inf-cap", "negative-seed"],
 )
 def test_evaluate_names_a_non_finite_rollout_option(quadrant_config, tmp_path, capsys, option, value,
                                                      reason):

@@ -397,6 +397,22 @@ def test_standard_normal_pair_has_the_bits_of_two_normal_calls():
             assert np.array(a).tobytes() == np.array(b).tobytes()
 
 
+def test_standard_normal_block_has_the_bits_of_per_eye_normal_calls():
+    # rollout.lockstep draws a trajectory's noise as one standard_normal(8k)
+    # block and reads each step's eyes from it, where the step loop oracle
+    # draws each eye's normal(0, sigma) and normal(size=3)
+    for seed in range(20):
+        sigma = math.radians(0.1 + 0.25 * seed)
+        block, calls = np.random.default_rng(seed), np.random.default_rng(seed)
+        steps = 1 + 9 * seed
+        z = block.standard_normal(8 * steps).reshape(-1, 8)
+        for step in z:
+            for eye in (step[:4], step[4:]):
+                assert (0.0 + sigma * eye[0]).tobytes() == np.float64(calls.normal(0.0, sigma)).tobytes()
+                assert eye[1:].tobytes() == calls.normal(size=3).tobytes()
+        assert block.standard_normal(4).tobytes() == calls.standard_normal(4).tobytes()
+
+
 HEADER = '{"participant": 0, "task": "linear-pursuit", "rate_hz": 90.0}'
 
 

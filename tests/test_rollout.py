@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,11 +20,11 @@ from gazehead.controllers import (
 from gazehead.dataset import COLUMNS, Task, TaskConfig, generate_task
 from gazehead import rollout as rollout_module
 from gazehead.geometry import (
-    dir_to_pitch_yaw,
     focal_points,
     head_rotation,
     head_rotations,
     normalize,
+    normalize_rows,
     to_head_frame,
     vec3,
 )
@@ -37,6 +38,7 @@ from gazehead.rollout import (
 )
 from gazehead.nn import DenseNet, LstmNet
 from gazehead.training import TrainConfig, fit, head_deltas
+import oracles
 from oracles import (
     ReplayController,
     StepRowsMixin,
@@ -391,77 +393,69 @@ class ScriptedRng:
         return loc + scale * self._next(size)
 
 
-def test_parallel_axis_draw_is_redrawn_and_the_right_eye_reads_after_it(monkeypatch):
+def oracle_aims(controller, traj, sigma, every, values, monkeypatch):
+    """The unit eye directions that rollout_loop perturbs, in draw order."""
+    aims = []
+    perturb = oracles.perturb_np
+
+    def recording(direction, sigma_rad, rng):
+        aims.append(direction.copy())
+        return perturb(direction, sigma_rad, rng)
+
+    with monkeypatch.context() as m:
+        m.setattr(oracles, "perturb_np", recording)
+        rollout_loop(controller, traj, sigma, 0, every, rng=ScriptedRng(values))
+    return aims
+
+
+@pytest.mark.parametrize("eye", [0, 1, 2], ids=["left-first-step", "right-first-step", "lstm-second-step"])
+def test_parallel_raw_axis_takes_the_basis_axis_and_reads_no_value(eye, monkeypatch):
+    # the raw axis of the every-second-sample LSTM row's eye-th perturbation
+    # (its first step's left and right eye, then its second step's left eye)
+    # is scripted parallel to that eye's aim
     traj = truncated(degenerate_interior_traj(), 12)
     sigma = 0.5
-    # the left eye's direction at the first step, as rollout_loop aims it
-    pitch, yaw = dir_to_pitch_yaw(traj.head_dir[0])
-    origin = traj.head_pos[0] + head_rotation(pitch, yaw) @ np.array([-0.03, 0.0, 0.0])
-    left = focal_points_loop(traj)[0] - origin
-    left = left / np.linalg.norm(left)
-    values = np.random.default_rng(8).standard_normal(400)
-    values[1:4] = left  # the first raw axis draw is parallel to the left eye: rejected
-    monkeypatch.setattr(rollout_module, "_rollout_rng", lambda config, traj: ScriptedRng(values))
-    reads = []
-    take = rollout_module._Noise.take
+    unscripted = np.random.default_rng(8).standard_normal(400)
+    lstm, every = parity_controllers()[3]
+    aim = oracle_aims(lstm, traj, sigma, every, unscripted, monkeypatch)[eye]
 
-    def recording(self, traj_index, pos, width):
-        reads.append((pos.tolist(), width))
-        return take(self, traj_index, pos, width)
+    def rows(values):
+        """lockstep's rows on a scripted stream, checked against rollout_loop's."""
+        monkeypatch.setattr(rollout_module, "_rollout_rng", lambda config, traj: ScriptedRng(values))
+        controllers = parity_controllers()
+        errors, _ = lockstep([c for c, _ in controllers], [traj], RolloutConfig(noise_sigma_deg=sigma, seed=0))
+        assert_rows_equal(errors, [rollout_loop(c, traj, sigma, 0, every, rng=ScriptedRng(values))
+                                   for c, every in controllers])
+        return errors
 
-    monkeypatch.setattr(rollout_module._Noise, "take", recording)
-    controllers = [controller for controller, _ in parity_controllers()]
-    errors, _ = lockstep(controllers, [traj], RolloutConfig(noise_sigma_deg=sigma, seed=0))
-    # first step: one read of both eyes at 0-7 finds the parallel axis, so
-    # the step reads again eye by eye: left angle and raw axis at 0-3, the
-    # redraw at 4-6, then the right eye from 7 on; the LSTM row steps too,
-    # so every row reads
-    rows = len(controllers)
-    assert reads[:4] == [([0] * rows, 8), ([0] * rows, 4), ([4] * rows, 3), ([7] * rows, 4)]
-    oracle = [
-        rollout_loop(controller, traj, sigma, 0, every, rng=ScriptedRng(values))
-        for controller, every in parity_controllers()
-    ]
-    assert_rows_equal(errors, oracle)
+    parallel, antiparallel = unscripted.copy(), unscripted.copy()
+    parallel[4 * eye + 1 : 4 * eye + 4] = aim
+    antiparallel[4 * eye + 1 : 4 * eye + 4] = -2.0 * aim
+    scripted, flipped, free = rows(parallel), rows(antiparallel), rows(unscripted)
+    # the quadrant row's thresholded commands do not move; every other row's do
+    assert [a.tobytes() != b.tobytes() for a, b in zip(scripted, free)] == [False, True, True, True]
+    # every row's first step aims alike; at the LSTM's second step the other
+    # rows take their own second step, whose aim is not parallel; a row that
+    # takes the basis axis reads nothing of its parallel draw
+    for b in [3] if eye == 2 else range(4):
+        assert scripted[b].tobytes() == flipped[b].tobytes()
 
 
-def first_step_aim(traj, eye_x):
-    """The unit direction of the eye at (eye_x, 0, 0) in the head frame at
-    the first step, as rollout_loop aims it."""
-    pitch, yaw = dir_to_pitch_yaw(traj.head_dir[0])
-    origin = traj.head_pos[0] + head_rotation(pitch, yaw) @ np.array([eye_x, 0.0, 0.0])
-    aim = focal_points_loop(traj)[0] - origin
-    return aim / np.linalg.norm(aim)
-
-
-def test_parallel_right_eye_draw_is_redrawn_after_the_left_eye_reads(monkeypatch):
-    traj = truncated(degenerate_interior_traj(), 12)
-    sigma = 0.5
-    values = np.random.default_rng(8).standard_normal(400)
-    values[5:8] = first_step_aim(traj, 0.03)  # the right eye's first raw axis: rejected
-    monkeypatch.setattr(rollout_module, "_rollout_rng", lambda config, traj: ScriptedRng(values))
-    reads = []
-    take = rollout_module._Noise.take
-
-    def recording(self, traj_index, pos, width):
-        reads.append((pos.tolist(), width))
-        return take(self, traj_index, pos, width)
-
-    monkeypatch.setattr(rollout_module._Noise, "take", recording)
-    controllers = [controller for controller, _ in parity_controllers()]
-    errors, _ = lockstep(controllers, [traj], RolloutConfig(noise_sigma_deg=sigma, seed=0))
-    # first step: both eyes at 0-7, then eye by eye: the left eye at 0-3, the
-    # right eye's angle and raw axis at 4-7 and its redraw at 8-10; the
-    # second step reads both eyes from 11 on, without the LSTM row (it
-    # steps every second sample)
-    rows = len(controllers)
-    assert reads[:5] == [([0] * rows, 8), ([0] * rows, 4), ([4] * rows, 4), ([8] * rows, 3),
-                         ([11] * (rows - 1), 8)]
-    oracle = [
-        rollout_loop(controller, traj, sigma, 0, every, rng=ScriptedRng(values))
-        for controller, every in parity_controllers()
-    ]
-    assert_rows_equal(errors, oracle)
+def test_basis_axis_is_unit_and_perpendicular():
+    # a raw axis equal to the direction takes d x e_k; turned a quarter turn,
+    # d becomes axis x d, so d x turned recovers the unit axis
+    signed = np.concatenate([np.eye(3), -np.eye(3), np.full((1, 3), 1.0 / math.sqrt(3.0))])
+    d = np.concatenate([signed, normalize_rows(np.random.default_rng(3).normal(size=(50, 3)))])
+    quarter = np.full((len(d), 1), math.pi / 2)
+    turned = rollout_module._perturb(d, np.hstack([quarter, d]), 1.0)
+    assert turned.tobytes() == rollout_module._perturb(d, np.hstack([quarter, -2.0 * d]), 1.0).tobytes()
+    axis = np.cross(d, turned)
+    np.testing.assert_allclose(np.linalg.norm(axis, axis=1), 1.0, atol=1e-12)
+    np.testing.assert_allclose(np.sum(axis * d, axis=1), 0.0, atol=1e-12)
+    basis = np.cross(d, np.eye(3)[np.abs(d).argmin(axis=1)])
+    assert np.all(np.linalg.norm(basis, axis=1) >= math.sqrt(2.0 / 3.0) - 1e-12)
+    np.testing.assert_allclose(axis, basis / np.linalg.norm(basis, axis=1)[:, None], atol=1e-12)
+    np.testing.assert_allclose(axis[6], [0.0, math.sqrt(0.5), -math.sqrt(0.5)], atol=1e-12)  # ties: e_x
 
 
 @pytest.mark.parametrize("rows", [1, 2, 4, 24])
@@ -493,13 +487,23 @@ def test_head_rotation_block_has_each_rows_bits(rows):
 @pytest.mark.parametrize(
     "field, value",
     [("noise_sigma_deg", math.nan), ("noise_sigma_deg", math.inf), ("noise_sigma_deg", -0.5),
-     ("duration_cap_s", math.nan), ("duration_cap_s", math.inf), ("duration_cap_s", -math.inf)],
+     ("duration_cap_s", math.nan), ("duration_cap_s", math.inf), ("duration_cap_s", -math.inf),
+     ("seed", -1), ("seed", 1.5), ("seed", "3"), ("seed", None)],
 )
 def test_rollout_config_rejects_a_negative_or_non_finite_option(field, value):
-    with pytest.raises(ValueError, match=rf"^{field} must be .*finite, got {value!r}$"):
+    rule = "a nonnegative integer" if field == "seed" else ".*finite"
+    with pytest.raises(ValueError, match=rf"^{field} must be {rule}, got {re.escape(repr(value))}$"):
         RolloutConfig(**{field: value})
     RolloutConfig(noise_sigma_deg=0.0, duration_cap_s=None)
-    RolloutConfig(duration_cap_s=2.5)
+    RolloutConfig(duration_cap_s=2.5, seed=np.int64(3))
+
+
+def test_lockstep_names_an_empty_trajectory():
+    _, traj = generate_task(Task.LINEAR_PURSUIT, TaskConfig(duration=1.0), seed=4)
+    traj.participant_id = 6
+    for cap in (None, 1.0):
+        with pytest.raises(ValueError, match="^the trajectory of participant 6 on linear-pursuit has no samples$"):
+            lockstep([ZeroController()], [traj, truncated(traj, 0)], RolloutConfig(duration_cap_s=cap))
 
 
 def test_batched_focal_points_match_scalar_oracle_bitwise():
