@@ -24,7 +24,7 @@ from . import dataset as ds
 from .controllers import load_controller, save_controller
 from .exosim import SAMPLES_PER_TICK, SENSOR_RATE_HZ, EmaFilter, ExoLimits, ExoSim
 from .rollout import ROW_KEYS, EvalRow, EvalTable, RolloutConfig, evaluate_suite
-from .training import TrainConfig, fit
+from .training import FAMILIES, TrainConfig, fit
 
 TASK_CHOICES = [t.value for t in ds.Task] + ["all"]
 
@@ -101,9 +101,6 @@ def _split_ids(args, trajs):
 
 
 def cmd_train(args):
-    trajs = _load_dir(args.data)
-    spec = _split_ids(args, trajs)
-    train, test = ds.split(trajs, spec)
     config = TrainConfig(
         family=args.family,
         hidden=args.hidden,
@@ -115,6 +112,9 @@ def cmd_train(args):
         vector_learning_rate=args.vector_lr,
         name=args.name,
     )
+    trajs = _load_dir(args.data)
+    spec = _split_ids(args, trajs)
+    train, test = ds.split(trajs, spec)
     controller, report = fit(config, train, test)
     save_controller(controller, args.out, extra_config=asdict(config))
     payload = report.to_json()
@@ -298,7 +298,7 @@ def build_parser():
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("train", help="fit a controller on trajectory data")
-    p.add_argument("--family", choices=["quadrant", "vector", "mlp", "lstm"], required=True)
+    p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--hidden", type=_ints, default=TrainConfig.hidden,
                    help="comma-separated hidden sizes (mlp) or H (lstm); default "
                         + ",".join(map(str, TrainConfig.hidden)))

@@ -264,7 +264,8 @@ BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8  # Adam's moment decay rates and denomi
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moment accumulators and step counter."""
+    """Per-parameter first/second moment accumulators and step counter.
+    ``adam_step`` updates each accumulator array in place."""
 
     learning_rate: float = 1e-3
     step_count: int = 0
@@ -275,8 +276,13 @@ class AdamState:
 def adam_step(params, grads, state: AdamState):
     """Standard Adam update with bias correction.
 
-    Returns (new params dict, state). The state accumulators are updated in
-    place; parameter arrays are fresh copies.
+    Returns (new params dict, state). The moment accumulators are updated
+    in place; each new parameter is one fresh array, and the arrays passed
+    in are left as they were. Every operation keeps the operands and order
+    of the out-of-place form, and so its bits:
+      m = BETA1 * m + (1 - BETA1) * g
+      v = BETA2 * v + (1 - BETA2) * (g * g)
+      p - lr * (m / bc1) / (sqrt(v / bc2) + EPSILON)
     """
     state.step_count += 1
     t = state.step_count
@@ -288,11 +294,21 @@ def adam_step(params, grads, state: AdamState):
         if k not in state.m:
             state.m[k] = np.zeros_like(g)
             state.v[k] = np.zeros_like(g)
-        state.m[k] = BETA1 * state.m[k] + (1.0 - BETA1) * g
-        state.v[k] = BETA2 * state.v[k] + (1.0 - BETA2) * (g * g)
-        m_hat = state.m[k] / bc1
-        v_hat = state.v[k] / bc2
-        out[k] = p - state.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
+        m, v = state.m[k], state.v[k]
+        tmp = np.multiply(g, 1.0 - BETA1)
+        m *= BETA1
+        m += tmp
+        tmp = np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - BETA2
+        v *= BETA2
+        v += tmp
+        step = np.divide(m, bc1, out=tmp)
+        step *= state.learning_rate
+        new = np.divide(v, bc2)
+        np.sqrt(new, out=new)
+        new += EPSILON
+        np.divide(step, new, out=new)
+        out[k] = np.subtract(p, new, out=new)
     return out, state
 
 

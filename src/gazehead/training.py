@@ -10,6 +10,7 @@ back into the input stream.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -96,9 +97,12 @@ def _common_rate(trajs) -> float:
     return rates[0]
 
 
+FAMILIES = ("quadrant", "vector", "mlp", "lstm")
+
+
 @dataclass
 class TrainConfig:
-    family: str = "mlp"  # quadrant | vector | mlp | lstm
+    family: str = "mlp"  # one of FAMILIES
     hidden: tuple = (8,)  # mlp hidden sizes, or (H,) for lstm
     learning_rate: float = 1e-3
     epochs: int = 50
@@ -108,6 +112,24 @@ class TrainConfig:
     vector_iterations: int = 3000
     vector_learning_rate: float = 0.05
     name: str | None = None
+
+    def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise ValueError(f"family must be one of {', '.join(FAMILIES)}, got {self.family!r}")
+        for key in ("learning_rate", "vector_learning_rate"):
+            value = getattr(self, key)
+            if not (isinstance(value, numbers.Real) and value > 0 and math.isfinite(value)):
+                raise ValueError(f"{key} must be positive and finite, got {value!r}")
+        for key in ("epochs", "vector_iterations", "lstm_downsample"):
+            value = getattr(self, key)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
+        if not all(isinstance(h, numbers.Integral) and h >= 1 for h in self.hidden):
+            raise ValueError(f"hidden sizes must be integers >= 1, got {self.hidden!r}")
+        if self.family == "lstm" and len(self.hidden) != 1:
+            raise ValueError(f"an lstm has exactly one hidden size, got {self.hidden!r}")
+        if self.lstm_input not in (6, 9):
+            raise ValueError(f"lstm_input must be 6 or 9, got {self.lstm_input!r}")
 
     def resolved_name(self):
         if self.name:
@@ -177,58 +199,75 @@ def _fit_net(config: TrainConfig, trajs, build_net, prep):
     return net, report_losses, lengths
 
 
-def fit_vector_axis(x_deg, target_rad, dt, iterations, learning_rate):
-    """Fit one (v, a, b, c) quadruple by full-batch Adam on the symmetric
-    law. ``a`` is optimized as exp(alpha) so it stays positive.
-
-    The analytic gradient treats u = |x - c| with sign s: for
-    h = s*v*u / D, D = 1 + exp(a*(b - u)),
+def vector_axis_grad(theta, x, d, k):
+    """Gradient of the symmetric law's loss mean((k*h - d)**2) with respect
+    to theta = (v, alpha, b, c), where a = exp(alpha) and, for u = |x - c|
+    with sign s and E = exp(a*(b - u)) clipped to exp(+-700),
+      h = s*v*u / D,  D = 1 + E
       dh/dv = s*u/D
       dh/da = -s*v*u*E*(b-u)/D^2
       dh/db = -s*v*u*E*a/D^2
       dh/dc = -v*(1/D + u*a*E/D^2)
-    with E = exp(a*(b - u)).
+    and dh/dalpha = a * dh/da.
+
+    Each product the gradients share (x - c, s*v*u, s*v*u*E, b - u, D^2) is
+    formed once, in the left-to-right order of the formulas above, and the
+    sign of -s*v*u*E rides on the coefficient: a negation is exact, so the
+    bits are those of each formula evaluated on its own.
     """
+    v, alpha, b, c = theta
+    a = math.exp(alpha)
+    s = np.subtract(x, c)
+    u = np.abs(s)
+    np.sign(s, out=s)
+    b_u = np.subtract(b, u)
+    e = np.multiply(a, b_u)
+    np.clip(e, -700.0, 700.0, out=e)
+    np.exp(e, out=e)
+    dd = np.add(1.0, e)
+    dd2 = np.square(dd)
+    svu = np.multiply(s, v)
+    svu *= u
+    coeff = np.divide(svu, dd)  # h, then k*h - d, then the loss's d/dh, 2k(k*h - d)/n
+    coeff *= k
+    coeff -= d
+    coeff *= 2.0 * k
+    coeff /= coeff.size
+    s *= u  # coeff * dh/dv
+    s /= dd
+    s *= coeff
+    svu *= e
+    b_u *= svu  # -dh/da, times -coeff below
+    b_u /= dd2
+    svu *= a  # -dh/db, times -coeff below
+    svu /= dd2
+    u *= a  # coeff * dh/dc, in dd
+    u *= e
+    u /= dd2
+    np.divide(1.0, dd, out=dd)
+    dd += u
+    dd *= -v
+    dd *= coeff
+    np.negative(coeff, out=coeff)
+    b_u *= coeff
+    svu *= coeff
+    return np.array([np.sum(s), float(np.sum(b_u)) * a, np.sum(svu), np.sum(dd)])
+
+
+def fit_vector_axis(x_deg, target_rad, dt, iterations, learning_rate):
+    """Fit one (v, a, b, c) quadruple by full-batch Adam on the symmetric
+    law, as one Adam parameter theta = (v, alpha, b, c). ``a`` is optimized
+    as exp(alpha) so it stays positive."""
     x = np.asarray(x_deg, dtype=float)
     d = np.asarray(target_rad, dtype=float)
     k = dt * math.pi / 180.0  # deg/s -> radians per step
-    params = {
-        "v": np.array([1.0]),
-        "alpha": np.array([math.log(0.5)]),
-        "b": np.array([8.0]),
-        "c": np.array([0.0]),
-    }
+    params = {"theta": np.array([1.0, math.log(0.5), 8.0, 0.0])}
     state = AdamState(learning_rate=learning_rate)
     for _ in range(iterations):
-        v = params["v"][0]
-        a = math.exp(params["alpha"][0])
-        b = params["b"][0]
-        c = params["c"][0]
-        u = np.abs(x - c)
-        s = np.sign(x - c)
-        t = np.clip(a * (b - u), -700.0, 700.0)
-        e = np.exp(t)
-        dd = 1.0 + e
-        h = s * v * u / dd
-        resid = k * h - d
-        coeff = 2.0 * k * resid / resid.size
-        dh_dv = s * u / dd
-        dh_da = -s * v * u * e * (b - u) / dd**2
-        dh_db = -s * v * u * e * a / dd**2
-        dh_dc = -v * (1.0 / dd + u * a * e / dd**2)
-        grads = {
-            "v": np.array([float(np.sum(coeff * dh_dv))]),
-            "alpha": np.array([float(np.sum(coeff * dh_da)) * a]),
-            "b": np.array([float(np.sum(coeff * dh_db))]),
-            "c": np.array([float(np.sum(coeff * dh_dc))]),
-        }
+        grads = {"theta": vector_axis_grad(params["theta"], x, d, k)}
         params, state = adam_step(params, grads, state)
-    return VectorAxisParams(
-        v=float(params["v"][0]),
-        a=float(math.exp(params["alpha"][0])),
-        b=float(params["b"][0]),
-        c=float(params["c"][0]),
-    )
+    v, alpha, b, c = params["theta"].tolist()
+    return VectorAxisParams(v=v, a=math.exp(alpha), b=b, c=c)
 
 
 def fit_vector_params(trajs, iterations, learning_rate) -> VectorParams:

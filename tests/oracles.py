@@ -2,16 +2,19 @@
 
 These deliberately avoid the closed-form paths in the package: the ray
 oracle is a grid search, the control-law oracle is 50-digit arithmetic,
-gradients are central finite differences. The rollout oracles are the
-plain per-sample form (np.cross, np.linalg.norm, one 3x3 solve per
-sample) that the package's faster rollout must match bit for bit. The
-blink-repair oracle is the per-sample loop that the package's columnar
-repair must match bit for bit, and the teacher-forced LSTM oracle is the
-per-trajectory step loop that the lockstep prediction must match bit for
-bit. StepRowsMixin, the per-row ``step_rows`` of the test controllers,
-ZeroController, a baseline that never moves the head, ReplayController,
-which replays recorded head deltas, and make_trajectory, a builder of
-small test trajectories, live here because only tests use them.
+gradients are central finite differences. The Adam and vector-law
+gradient oracles evaluate each formula on its own, one fresh array at a
+time, and the package's in-place forms must match them bit for bit. The
+rollout oracles are the plain per-sample form (np.cross, np.linalg.norm,
+one 3x3 solve per sample) that the package's faster rollout must match
+bit for bit. The blink-repair oracle is the per-sample loop that the
+package's columnar repair must match bit for bit, and the teacher-forced
+LSTM oracle is the per-trajectory step loop that the lockstep prediction
+must match bit for bit. StepRowsMixin, the per-row ``step_rows`` of the
+test controllers, ZeroController, a baseline that never moves the head,
+ReplayController, which replays recorded head deltas, and
+make_trajectory, a builder of small test trajectories, live here because
+only tests use them.
 """
 
 import math
@@ -218,6 +221,54 @@ def gradient_check(net, inputs, targets, h=1e-5):
             flat[idx] = orig
             worst = max(worst, rel_err(analytic, numeric))
     return worst
+
+
+def adam_step_np(params, grads, m, v, step_count, learning_rate):
+    """Adam in its out-of-place textbook form (Kingma & Ba), each moment and
+    parameter a fresh array: the arithmetic ``nn.adam_step`` must match bit
+    for bit. m and v are dicts of accumulators, rebound here; returns the
+    new params dict."""
+    beta1, beta2, epsilon = 0.9, 0.999, 1e-8
+    bc1 = 1.0 - beta1**step_count
+    bc2 = 1.0 - beta2**step_count
+    out = {}
+    for k, p in params.items():
+        g = np.asarray(grads[k], dtype=float)
+        if k not in m:
+            m[k] = np.zeros_like(g)
+            v[k] = np.zeros_like(g)
+        m[k] = beta1 * m[k] + (1.0 - beta1) * g
+        v[k] = beta2 * v[k] + (1.0 - beta2) * (g * g)
+        m_hat = m[k] / bc1
+        v_hat = v[k] / bc2
+        out[k] = p - learning_rate * m_hat / (np.sqrt(v_hat) + epsilon)
+    return out
+
+
+def vector_axis_grad_np(theta, x, d, k):
+    """The symmetric law's loss gradient with respect to (v, alpha, b, c),
+    each formula evaluated on its own: the arithmetic
+    ``training.vector_axis_grad`` must match bit for bit."""
+    v, alpha, b, c = theta
+    a = math.exp(alpha)
+    u = np.abs(x - c)
+    s = np.sign(x - c)
+    t = np.clip(a * (b - u), -700.0, 700.0)
+    e = np.exp(t)
+    dd = 1.0 + e
+    h = s * v * u / dd
+    resid = k * h - d
+    coeff = 2.0 * k * resid / resid.size
+    dh_dv = s * u / dd
+    dh_da = -s * v * u * e * (b - u) / dd**2
+    dh_db = -s * v * u * e * a / dd**2
+    dh_dc = -v * (1.0 / dd + u * a * e / dd**2)
+    return np.array([
+        float(np.sum(coeff * dh_dv)),
+        float(np.sum(coeff * dh_da)) * a,
+        float(np.sum(coeff * dh_db)),
+        float(np.sum(coeff * dh_dc)),
+    ])
 
 
 def focal_point_scalar(lo, ld, ro, rd):

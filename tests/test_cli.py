@@ -116,6 +116,26 @@ def test_evaluate_names_a_non_finite_rollout_option(quadrant_config, tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["--family", "mlp", "--epochs", "0"], "epochs must be an integer >= 1, got 0"),
+        (["--family", "lstm", "--hidden", "0"], "hidden sizes must be integers >= 1, got (0,)"),
+        (["--family", "lstm", "--hidden", "4,4"], "an lstm has exactly one hidden size, got (4, 4)"),
+        (["--family", "mlp", "--lr", "-0.01"], "learning_rate must be positive and finite, got -0.01"),
+        (["--family", "vector", "--vector-lr", "nan"], "vector_learning_rate must be positive and finite, got nan"),
+        (["--family", "vector", "--vector-iterations", "0"], "vector_iterations must be an integer >= 1, got 0"),
+    ],
+    ids=["zero-epochs", "zero-hidden", "two-lstm-hidden", "negative-lr", "nan-vector-lr", "zero-iterations"],
+)
+def test_train_names_a_bad_option_before_it_reads_or_writes(tmp_path, capsys, argv, reason):
+    # the data directory does not exist: the option is checked before it is read
+    out = tmp_path / "m.json"
+    assert run_cli("train", *argv, "--data", tmp_path / "missing", "--out", out) == 1
+    assert capsys.readouterr().err == f"error: {reason}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def load_parity():
     path = Path(__file__).resolve().parents[1] / "tools" / "parity.py"
     spec = importlib.util.spec_from_file_location("parity", path)

@@ -14,7 +14,8 @@ from gazehead.nn import (
     _lstm_gates,
     save_checkpoint,
 )
-from oracles import gradient_check
+from gazehead.training import HEAD_DECAY
+from oracles import adam_step_np, gradient_check
 
 
 def zeroed(net):
@@ -245,6 +246,49 @@ def test_adam_odd_symmetry():
     for _ in range(50):
         params, state = adam_step(params, grads, state)
     assert abs(params["a"][0] + params["b"][0]) < 1e-15
+
+
+# the parameter shapes of the bench's five-fit mix, and the vector fit's one
+# (v, alpha, b, c) parameter
+ADAM_FITS = {
+    "mlp-8": lambda: DenseNet([9, 8, 2]).params(),
+    "mlp-16_16": lambda: DenseNet([9, 16, 16, 2]).params(),
+    "lstm-h2": lambda: LstmNet(9, 2).params(),
+    "lstm-h128": lambda: LstmNet(9, 128).params(),
+    "vector": lambda: {"theta": np.array([1.0, np.log(0.5), 8.0, 0.0])},
+}
+
+
+@pytest.mark.parametrize("fit", sorted(ADAM_FITS))
+def test_adam_step_has_the_bits_of_the_out_of_place_form(fit):
+    # 50 steps against the textbook form, the head-column decay between
+    # steps as _fit_net applies it, on gradients that mix ordinary values
+    # with exact zeros, 1e-300 (whose square underflows) and 1e150
+    rng = np.random.default_rng(7)
+    params = ADAM_FITS[fit]()
+    expect = {k: p.copy() for k, p in params.items()}
+    m, v = {}, {}
+    lr = 1e-2
+    state = AdamState(learning_rate=lr)
+    for step in range(1, 51):
+        grads = {}
+        for k, p in params.items():
+            g = rng.normal(size=p.shape) * 10.0 ** rng.uniform(-4, 4, size=p.shape)
+            special = rng.choice([0.0, -0.0, 1e-300, -1e-300, 1e150, -1e150], size=p.shape)
+            grads[k] = np.where(rng.random(p.shape) < 0.2, special, g)
+        old, old_bytes = params, {k: p.tobytes() for k, p in params.items()}
+        params, state = adam_step(params, grads, state)
+        expect = adam_step_np(expect, grads, m, v, step, lr)
+        for k in expect:
+            assert params[k].tobytes() == expect[k].tobytes(), (step, k)
+            assert state.m[k].tobytes() == m[k].tobytes(), (step, k)
+            assert state.v[k].tobytes() == v[k].tobytes(), (step, k)
+            assert old[k].tobytes() == old_bytes[k]  # the arrays passed in keep their values
+            assert not np.shares_memory(params[k], old[k])
+        if "w" in params:  # an lstm: the head-direction columns of its 9 inputs
+            for p in (params["w"], expect["w"]):
+                p[:, 6:9] *= 1.0 - lr * HEAD_DECAY
+    assert state.step_count == 50
 
 
 def test_loss_decreases_over_first_adam_steps():

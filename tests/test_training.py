@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,9 +27,10 @@ from gazehead.training import (
     fit_vector_params,
     head_deltas,
     net_inputs,
+    vector_axis_grad,
     zero_baseline_loss,
 )
-from oracles import ZeroController, lstm_predict_loop, make_trajectory, rel_err
+from oracles import ZeroController, lstm_predict_loop, make_trajectory, rel_err, vector_axis_grad_np
 
 
 def static_head_traj(n=50, rate=90.0):
@@ -139,36 +141,44 @@ def test_fit_vector_axis_gradients_match_finite_differences():
     true = VectorAxisParams(0.9, 0.6, 5.0, 0.5)
     d = np.array([symmetric_control_law(true, xi) for xi in x]) * dt * math.pi / 180
 
-    def loss_at(v, a, b, c):
-        p = VectorAxisParams(v, a, b, c)
+    def loss_at(theta):
+        v, alpha, b, c = theta
+        p = VectorAxisParams(v, math.exp(alpha), b, c)
         h = np.array([symmetric_control_law(p, xi) for xi in x])
         return float(np.mean((h * dt * math.pi / 180 - d) ** 2))
 
-    # analytic gradient identical to the one inside fit_vector_axis
-    v, a, b, c = 1.1, 0.4, 6.0, -0.5
-    u = np.abs(x - c)
-    s = np.sign(x - c)
-    e = np.exp(a * (b - u))
-    dd = 1.0 + e
-    k = dt * math.pi / 180
-    h = s * v * u / dd
-    resid = k * h - d
-    coeff = 2.0 * k * resid / resid.size
-    grads = {
-        "v": float(np.sum(coeff * s * u / dd)),
-        "a": float(np.sum(coeff * (-s * v * u * e * (b - u) / dd**2))),
-        "b": float(np.sum(coeff * (-s * v * u * e * a / dd**2))),
-        "c": float(np.sum(coeff * (-v * (1.0 / dd + u * a * e / dd**2)))),
-    }
+    # the gradient that fit_vector_axis steps on, over (v, alpha, b, c)
+    theta = np.array([1.1, math.log(0.4), 6.0, -0.5])
+    grad = vector_axis_grad(theta, x, d, dt * math.pi / 180)
     h_step = 1e-5
-    for name, idx in (("v", 0), ("a", 1), ("b", 2), ("c", 3)):
-        theta = [v, a, b, c]
-        theta[idx] += h_step
-        up = loss_at(*theta)
-        theta[idx] -= 2 * h_step
-        down = loss_at(*theta)
-        numeric = (up - down) / (2 * h_step)
-        assert rel_err(grads[name], numeric) < 1e-4
+    for idx in range(4):
+        up, down = theta.copy(), theta.copy()
+        up[idx] += h_step
+        down[idx] -= h_step
+        numeric = (loss_at(up) - loss_at(down)) / (2 * h_step)
+        assert rel_err(grad[idx], numeric) < 1e-4
+
+
+@pytest.mark.parametrize("theta, clips", [
+    ((1.1, math.log(0.4), 6.0, -0.5), (False, False)),
+    ((0.9, math.log(120.0), 8.0, 0.5), (True, True)),  # +700 near c, -700 far from it
+    ((-0.7, math.log(30.0), -3.0, 2.0), (True, False)),  # b < 0: -700 far from c
+])
+def test_vector_axis_grad_has_the_bits_of_each_formula_on_its_own(theta, clips):
+    # elements with x == c have s = 0; where a*(b - u) clips, D**2 overflows
+    rng = np.random.default_rng(89)
+    c = theta[3]
+    x = np.concatenate([rng.uniform(-40, 40, size=300), np.full(7, c), c + rng.uniform(-0.05, 0.05, 20)])
+    d = rng.normal(0, 0.01, size=x.size)
+    t = math.exp(theta[1]) * (theta[2] - np.abs(x - c))
+    assert np.any(x == c)
+    assert (bool(np.any(t < -700.0)), bool(np.any(t > 700.0))) == clips  # (clips at -700, at +700)
+    k = math.pi / 180 / 90
+    with np.errstate(over="ignore"):
+        got = vector_axis_grad(np.array(theta), x, d, k)
+        expect = vector_axis_grad_np(np.array(theta), x, d, k)
+    assert np.all(np.isfinite(got))
+    assert got.tobytes() == expect.tobytes()
 
 
 def test_fit_vector_recovers_known_quadruple():
@@ -284,6 +294,30 @@ def test_lstm_fit_decays_only_the_head_direction_columns(monkeypatch, lstm_input
     for _ in range(config.epochs * len(trajs)):
         head *= 1.0 - config.learning_rate * HEAD_DECAY
     assert controller.net.w.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("fields, reason", [
+    ({"family": "gru"}, "family must be one of quadrant, vector, mlp, lstm, got 'gru'"),
+    ({"learning_rate": -0.01}, "learning_rate must be positive and finite, got -0.01"),
+    ({"learning_rate": 0.0}, "learning_rate must be positive and finite, got 0.0"),
+    ({"learning_rate": math.inf}, "learning_rate must be positive and finite, got inf"),
+    ({"vector_learning_rate": math.nan}, "vector_learning_rate must be positive and finite, got nan"),
+    ({"epochs": 0}, "epochs must be an integer >= 1, got 0"),
+    ({"epochs": 2.5}, "epochs must be an integer >= 1, got 2.5"),
+    ({"vector_iterations": 0}, "vector_iterations must be an integer >= 1, got 0"),
+    ({"family": "lstm", "lstm_downsample": 0}, "lstm_downsample must be an integer >= 1, got 0"),
+    ({"family": "lstm", "hidden": (0,)}, "hidden sizes must be integers >= 1, got (0,)"),
+    ({"hidden": (16, -1)}, "hidden sizes must be integers >= 1, got (16, -1)"),
+    ({"hidden": (8.0,)}, "hidden sizes must be integers >= 1, got (8.0,)"),
+    ({"family": "lstm", "hidden": (4, 4)}, "an lstm has exactly one hidden size, got (4, 4)"),
+    ({"family": "lstm", "hidden": ()}, "an lstm has exactly one hidden size, got ()"),
+    ({"lstm_input": 7}, "lstm_input must be 6 or 9, got 7"),
+], ids=["family", "negative-lr", "zero-lr", "inf-lr", "nan-vector-lr", "zero-epochs", "fractional-epochs",
+        "zero-vector-iterations", "zero-downsample", "zero-lstm-hidden", "negative-mlp-hidden",
+        "float-hidden", "two-lstm-hidden", "no-lstm-hidden", "lstm-input"])
+def test_train_config_rejects_a_bad_value(fields, reason):
+    with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+        TrainConfig(**fields)
 
 
 def test_fit_rejects_empty_training_set():
